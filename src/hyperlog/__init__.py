@@ -7,9 +7,10 @@ from .composition import (Logarithmicity, LogTower, compose, compose_hyperlog,
                           compose_hyperlog_omega, compose_monomial, invert,
                           log_iter, logarithmicity, recursion_check,
                           taylor_compose, taylor_deform, up3)
-from .errors import (DomainError, HNotSmaller, IdentityMonomial,
-                     IndeterminateDominant, IndeterminateSign,
-                     IndeterminateSplit, IrrationalConstantPower, NonMonicLog,
+from .errors import (DomainError, EmptyInterval, HNotSmaller,
+                     IdentityMonomial, IndeterminateDominant,
+                     IndeterminateSign, IndeterminateSplit,
+                     IrrationalConstantPower, NestingTooDeep, NonMonicLog,
                      NotGreaterThanR, NotInvertible, NotPositive,
                      SupportBelowOmega, ZeroSeries)
 from .monomial import (MONE, Monomial, X, hyperlog, hyperlog_dagger,

@@ -17,9 +17,8 @@ from .monomial import (MONE, Monomial, hyperlog, hyperlog_dagger,
 from .ordinal import GT, ONE, Ordinal, ZERO, omega_pow, ord_add, ord_compare
 from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series,
                      _join_bounds, from_monomial, is_exact_zero, make_series,
-                     ser_add, ser_compare_zero, ser_dominant, ser_mul,
-                     ser_mul_inverse, ser_mul_mono, ser_neg, ser_scale,
-                     ser_sub, with_bound)
+                     ser_compare_zero, ser_dominant, ser_mul, ser_mul_inverse,
+                     ser_mul_mono, ser_neg, ser_sub, truncated_sum, with_bound)
 
 X_INV = mono_pow(hyperlog(ZERO), -1)
 
@@ -114,33 +113,20 @@ def integrate(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     alpha = _integration_level(f)
     u = ser_mul_mono(f, mono_pow(hyperlog_deriv(alpha), -1))
 
-    def correction(t):
-        # The correction operator is contractive, so content hidden below the
-        # input bound maps to content hidden below the same bound.
-        bare = Series(t.terms)
-        lifted = _t_series(bare, alpha, prec)
-        out = ser_neg(ser_sub(mod_derive(lifted, alpha, prec), bare))
-        if t.bound is not None:
-            out = with_bound(out, t.bound)
-        return out
+    def corrections():
+        t = u
+        while True:
+            yield t
+            # The correction operator is contractive, so content hidden below
+            # the input bound maps to content hidden below the same bound.
+            bare = Series(t.terms)
+            lifted = _t_series(bare, alpha, prec)
+            t = with_bound(ser_neg(ser_sub(mod_derive(lifted, alpha, prec), bare)),
+                           t.bound)
 
-    acc = u
-    t = u
-    trunc = None
-    for _ in range(1, prec.budget):
-        t = correction(t)
-        if is_exact_zero(t):
-            break
-        acc = ser_add(acc, t)
-        if not t.terms:
-            trunc = t.bound
-            break
-    else:
-        trunc = t.terms[0][0] if t.terms else t.bound
-    out = _t_series(acc, alpha, prec)
-    if trunc is not None:
-        out = with_bound(out, _t_mono(trunc, alpha, prec)[1])
-    return out
+    # T is strictly monotone on monomials, so lifting the truncated sum puts
+    # its bound exactly where lifting each term would
+    return _t_series(truncated_sum(corrections(), prec.budget), alpha, prec)
 
 
 @dataclass(frozen=True)

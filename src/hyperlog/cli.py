@@ -17,9 +17,9 @@ from .calculus import dagger as ser_dagger
 from .calculus import derive, integrate
 from .composition import (Logarithmicity, compose, invert, logarithmicity,
                           taylor_compose)
-from .errors import DomainError
+from .errors import DomainError, NestingTooDeep
 from .monomial import MONE, hyperlog, make_monomial
-from .ordinal import OMEGA, ONE, Ordinal, ZERO, omega_pow, ord_add, ordinal
+from .ordinal import ZERO, parse_ordinal_sum
 from .render import format_value
 from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series, from_const,
                      from_monomial, is_exact_zero, rational_pow, ser_add,
@@ -165,7 +165,7 @@ class Parser:
         if tok == "l":
             self.take()
             self.take("[")
-            level = self.ordinal_sum()
+            level = parse_ordinal_sum(self)
             self.take("]")
             return Atom(hyperlog(level))
         if tok == "prod":
@@ -173,9 +173,9 @@ class Parser:
             self.take("(")
             self.take("l")
             self.take("[")
-            lo = self.ordinal_sum()
+            lo = parse_ordinal_sum(self)
             self.take("..")
-            hi = self.ordinal_sum()
+            hi = parse_ordinal_sum(self)
             self.take("]")
             self.take(")")
             return Atom(make_monomial([(lo, hi, Fraction(1))]))
@@ -206,50 +206,6 @@ class Parser:
             return Call(name, tuple(args), prec)
         self.error("unexpected token %r" % tok)
 
-    # ordinal sub-grammar: sums of w^e*n and naturals
-    def ordinal_sum(self) -> Ordinal:
-        total = self.ordinal_item()
-        while self.peek() == "+":
-            self.take("+")
-            total = ord_add(total, self.ordinal_item())
-        return total
-
-    def ordinal_item(self) -> Ordinal:
-        tok = self.peek()
-        if tok is not None and tok.isdigit():
-            return ordinal(int(self.take()))
-        if tok == "w":
-            base = self.ordinal_power()
-            if self.peek() == "*":
-                self.take("*")
-                digits = self.take()
-                if not digits.isdigit():
-                    self.error("expected a coefficient after *")
-                total = ZERO
-                for _ in range(int(digits)):
-                    total = ord_add(total, base)
-                return total
-            return base
-        self.error("expected an ordinal")
-
-    def ordinal_power(self) -> Ordinal:
-        self.take("w")
-        if self.peek() != "^":
-            return OMEGA
-        self.take("^")
-        tok = self.peek()
-        if tok == "(":
-            self.take("(")
-            exp = self.ordinal_sum()
-            self.take(")")
-        elif tok == "w":
-            exp = self.ordinal_power()
-        elif tok is not None and tok.isdigit():
-            exp = ordinal(int(self.take()))
-        else:
-            self.error("expected an exponent after ^")
-        return omega_pow(exp)
-
 
 def parse(text: str):
     """Parse an expression into its syntax tree."""
@@ -264,13 +220,16 @@ def _as_series(v) -> Series:
     raise DomainError("expected a series value, got %r" % (v,))
 
 
-def _as_const(v) -> Fraction:
-    v = _as_series(v)
+def _as_const(v: Series) -> Fraction | None:
+    """The value of an exact rational constant series, else None."""
     if is_exact_zero(v):
         return Fraction(0)
     if v.bound is None and len(v.terms) == 1 and v.terms[0][0] == MONE:
         return v.terms[0][1]
-    raise DomainError("exponent must be an exact rational constant")
+    return None
+
+
+_ARITHMETIC = {"+": ser_add, "-": ser_sub, "*": ser_mul, "/": ser_mul}
 
 
 def evaluate(node, prec: Precision = DEFAULT_PRECISION):
@@ -286,24 +245,29 @@ def evaluate(node, prec: Precision = DEFAULT_PRECISION):
         if not v.terms:
             raise DomainError("O(...) needs a value with a visible dominant term")
         return with_bound(S_ZERO, v.terms[0][0])
-    if isinstance(node, BinOp):
+    if isinstance(node, BinOp) and node.op == "^":
         left = _as_series(evaluate(node.left, prec))
-        if node.op == "^":
-            t = _as_const(evaluate(node.right, prec))
-            const = _as_const_or_none(left)
-            if const is not None:
-                return from_const(_const_pow(const, t))
-            return ser_pow(left, t, prec)
-        right = _as_series(evaluate(node.right, prec))
-        if node.op == "+":
-            return ser_add(left, right)
-        if node.op == "-":
-            return ser_sub(left, right)
-        if node.op == "*":
-            return ser_mul(left, right)
-        if node.op == "/":
-            return ser_mul(left, ser_mul_inverse(right, prec))
-        raise AssertionError(node.op)
+        t = _as_const(_as_series(evaluate(node.right, prec)))
+        if t is None:
+            raise DomainError("exponent must be an exact rational constant")
+        const = _as_const(left)
+        if const is not None:
+            return from_const(_const_pow(const, t))
+        return ser_pow(left, t, prec)
+    if isinstance(node, BinOp):
+        # x+x+...+x parses to a left-deep tree: walk its left spine in a loop
+        # so that a long chain does not run into the recursion limit
+        chain = []
+        while isinstance(node, BinOp) and node.op != "^":
+            chain.append(node)
+            node = node.left
+        acc = _as_series(evaluate(node, prec))
+        for link in reversed(chain):
+            right = _as_series(evaluate(link.right, prec))
+            if link.op == "/":
+                right = ser_mul_inverse(right, prec)
+            acc = _ARITHMETIC[link.op](acc, right)
+        return acc
     if isinstance(node, Call):
         local = Precision(node.prec) if node.prec is not None else prec
         args = [evaluate(a, prec) for a in node.args]
@@ -328,14 +292,6 @@ def evaluate(node, prec: Precision = DEFAULT_PRECISION):
     raise AssertionError(node)
 
 
-def _as_const_or_none(v: Series):
-    if is_exact_zero(v):
-        return Fraction(0)
-    if v.bound is None and len(v.terms) == 1 and v.terms[0][0] == MONE:
-        return v.terms[0][1]
-    return None
-
-
 def _const_pow(c: Fraction, t: Fraction) -> Fraction:
     if t.denominator == 1:
         if c == 0 and t < 0:
@@ -351,7 +307,11 @@ def _const_pow(c: Fraction, t: Fraction) -> Fraction:
 
 
 def eval_text(text: str, prec: Precision = DEFAULT_PRECISION):
-    return evaluate(parse(text), prec)
+    """Parse and evaluate one input line."""
+    try:
+        return evaluate(parse(text), prec)
+    except RecursionError:
+        raise NestingTooDeep("expression nests too deeply") from None
 
 
 # --- front end ---------------------------------------------------------------

@@ -7,12 +7,15 @@ rationals splits every monomial at the first limit level, turns the low part
 into a product of iterated logarithms, and lifts the high part through the
 three-step shift inverse followed by a Taylor deformation.  Compositional
 inversion peels a scaling term and a monomial factor, then finishes with a
-tangent-to-identity fixed-point iteration.
+tangent-to-identity fixed-point iteration.  Every infinite sum here goes
+through series.truncated_sum, which sets its truncation bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 from .calculus import derive, derive_monomial, integrate
 from .errors import (HNotSmaller, IrrationalConstantPower, NotGreaterThanR,
@@ -26,10 +29,9 @@ from .ordinal import (LT, OMEGA, ONE, Ordinal, ZERO, lambda_coeff,
                       ordinal, ordinal_to_int)
 from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
                      _join_bounds, from_const, from_monomial, is_exact_zero,
-                     make_series,
-                     rational_pow, ser_add, ser_dominant, ser_log, ser_mul,
-                     ser_mul_mono, ser_neg, ser_pow, ser_scale, ser_sub,
-                     with_bound)
+                     make_series, rational_pow, ser_add, ser_dominant, ser_log,
+                     ser_mul, ser_neg, ser_pow, ser_scale, ser_sub,
+                     truncated_sum, with_bound)
 
 X_SERIES = from_monomial(X)
 
@@ -59,25 +61,6 @@ def _dominant_monomial_or_bound(t: Series) -> Monomial | None:
     return t.bound
 
 
-def _operator_sum(seed: Series, step, prec: Precision) -> Series:
-    """Sum seed, step(seed), step(step(seed)), ... with truncation bound.
-
-    Consecutive terms have strictly decreasing dominant monomials for every
-    operator used here, so the dominant of the last emitted term is a sound
-    strict bound for everything omitted.
-    """
-    acc = seed
-    t = seed
-    for _ in range(1, prec.budget):
-        t = step(t)
-        if is_exact_zero(t):
-            return acc
-        acc = ser_add(acc, t)
-        if not t.terms:
-            return with_bound(acc, t.bound)
-    return with_bound(acc, _dominant_monomial_or_bound(t))
-
-
 def _mod_derive_high(t: Series, mu: Ordinal, prec: Precision) -> Series:
     """Modified derivation on series supported at or above mu.
 
@@ -97,13 +80,13 @@ def _mod_derive_high(t: Series, mu: Ordinal, prec: Precision) -> Series:
 
 def _exp_neg_mod_derive(m: Monomial, mu: Ordinal, prec: Precision) -> Series:
     """Apply the exponential of the negated modified derivation to a monomial."""
-    counter = [0]
+    def terms():
+        t = from_monomial(m)
+        for n in count(1):
+            yield t
+            t = ser_scale(_mod_derive_high(t, mu, prec), Fraction(-1, n))
 
-    def step(t):
-        counter[0] += 1
-        return ser_scale(_mod_derive_high(t, mu, prec), Fraction(-1, counter[0]))
-
-    return _operator_sum(from_monomial(m), step, prec)
+    return truncated_sum(terms(), prec.budget)
 
 
 def compose_hyperlog_omega(f: Series, beta: Ordinal,
@@ -218,10 +201,13 @@ def up3(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
         if m != MONE and ord_compare(mono_min_support(m), OMEGA) == LT:
             raise SupportBelowOmega("support below the first limit level: %r" % m)
 
-    def step(t):
-        return ser_sub(t, compose_hyperlog(t, ordinal(3), prec))
+    def terms():
+        t = f
+        while True:
+            yield t
+            t = ser_sub(t, compose_hyperlog(t, ordinal(3), prec))
 
-    return _operator_sum(f, step, prec)
+    return truncated_sum(terms(), prec.budget)
 
 
 def _taylor_deform_tower(phi: Series, tower: LogTower,
@@ -231,29 +217,18 @@ def _taylor_deform_tower(phi: Series, tower: LogTower,
     eps = ser_sub(tower.log(3), from_monomial(hyperlog(level)))
     if is_exact_zero(eps):
         return compose_hyperlog(phi, level, prec)
-    acc = compose_hyperlog(phi, level, prec)
-    dn = phi
-    epow = S_ONE
-    last = acc
-    for n in range(1, prec.budget):
-        dn = derive(dn, prec)
-        epow = ser_mul(epow, eps)
-        t = ser_scale(ser_mul(compose_hyperlog(dn, level, prec), epow),
-                      Fraction(1, _factorial(n)))
-        if is_exact_zero(t):
-            return acc
-        acc = ser_add(acc, t)
-        last = t
-        if not t.terms:
-            return with_bound(acc, t.bound)
-    return with_bound(acc, _dominant_monomial_or_bound(last))
 
+    def terms():
+        yield compose_hyperlog(phi, level, prec)
+        dn = phi
+        epow = S_ONE
+        for n in count(1):
+            dn = derive(dn, prec)
+            epow = ser_mul(epow, eps)
+            yield ser_scale(ser_mul(compose_hyperlog(dn, level, prec), epow),
+                            Fraction(1, factorial(n)))
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+    return truncated_sum(terms(), prec.budget)
 
 
 def taylor_deform(phi: Series, g: Series,
@@ -333,64 +308,58 @@ def taylor_compose(f: Series, g: Series, h: Series,
     elif h.bound is not None and mono_compare(h.bound, mg) == 1:
         raise HNotSmaller("increment bound is not below the base")
     tower = LogTower(g, prec)
-    acc = _compose_tower(f, tower, prec)
-    dn = f
-    hpow = S_ONE
-    last = acc
-    pre = None
-    for n in range(1, prec.budget):
-        dn = derive(dn, prec)
-        if is_exact_zero(dn):
-            return acc
-        hpow = ser_mul(hpow, h)
-        pruned = False
-        if pre is not None and len(dn.terms) > 8 and hpow.terms:
-            # drop derivative terms whose whole contribution falls below the
-            # predicted final bound; the bound attached to t covers them
-            floor = mono_mul(pre, mono_pow(hpow.terms[0][0], -1))
-            kept = tuple((m, c) for m, c in dn.terms
-                         if mono_compare(_dominant_image(m, tower), floor) != LT)
-            pruned = len(kept) < len(dn.terms)
-            dn = Series(kept, dn.bound)
-            if not kept and dn.bound is None:
-                return with_bound(acc, pre)
-        t = ser_scale(ser_mul(_compose_tower(dn, tower, prec), hpow),
-                      Fraction(1, _factorial(n)))
-        if pruned or (pre is not None and len(t.terms) > 8):
-            t = with_bound(t, pre)
-        if is_exact_zero(t):
-            return acc
-        if pre is None and t.terms and acc.terms:
-            # geometric decay of the correction dominants predicts where the
-            # final truncation lands
-            ratio = mono_mul(t.terms[0][0], mono_pow(acc.terms[0][0], -1))
-            pre = mono_mul(acc.terms[0][0], mono_pow(ratio, prec.budget))
-        acc = ser_add(acc, t)
-        last = t
-        if not t.terms:
-            return with_bound(acc, t.bound)
-    return with_bound(acc, _dominant_monomial_or_bound(last))
+
+    def terms():
+        seed = _compose_tower(f, tower, prec)
+        yield seed
+        dn = f
+        hpow = S_ONE
+        pre = None
+        for n in count(1):
+            dn = derive(dn, prec)
+            if is_exact_zero(dn):
+                return
+            hpow = ser_mul(hpow, h)
+            pruned = False
+            if pre is not None and len(dn.terms) > 8 and hpow.terms:
+                # drop derivative terms whose whole contribution falls below
+                # the predicted final bound; the bound attached to t covers them
+                floor = mono_mul(pre, mono_pow(hpow.terms[0][0], -1))
+                kept = tuple((m, c) for m, c in dn.terms
+                             if mono_compare(_dominant_image(m, tower), floor) != LT)
+                pruned = len(kept) < len(dn.terms)
+                dn = Series(kept, dn.bound)
+                if not kept and dn.bound is None:
+                    yield Series((), pre)
+                    return
+            t = ser_scale(ser_mul(_compose_tower(dn, tower, prec), hpow),
+                          Fraction(1, factorial(n)))
+            if pruned or (pre is not None and len(t.terms) > 8):
+                t = with_bound(t, pre)
+            if pre is None and t.terms:
+                # geometric decay of the correction dominants predicts where
+                # the final truncation lands; the seed is the sum so far here
+                lead = seed.terms[0][0]
+                ratio = mono_mul(t.terms[0][0], mono_pow(lead, -1))
+                pre = mono_mul(lead, mono_pow(ratio, prec.budget))
+            yield t
+
+    return truncated_sum(terms(), prec.budget)
 
 
 def _taylor_at_identity(w: Series, e: Series, prec: Precision) -> Series:
     """Evaluate w at x + e for e strictly below x, by the Taylor sum."""
-    acc = w
-    dn = w
-    epow = S_ONE
-    last = w
-    for n in range(1, prec.budget):
-        dn = derive(dn, prec)
-        if is_exact_zero(dn):
-            return acc
-        epow = ser_mul(epow, e)
-        if is_exact_zero(epow):
-            return acc
-        t = ser_scale(ser_mul(dn, epow), Fraction(1, _factorial(n)))
-        acc = ser_add(acc, t)
-        last = t
-        if not t.terms:
-            return with_bound(acc, t.bound)
-    return with_bound(acc, _dominant_monomial_or_bound(last))
+    def terms():
+        yield w
+        dn = w
+        epow = S_ONE
+        for n in count(1):
+            # a zero derivative or power makes this term, and the sum, end
+            dn = derive(dn, prec)
+            epow = ser_mul(epow, e)
+            yield ser_scale(ser_mul(dn, epow), Fraction(1, factorial(n)))
+
+    return truncated_sum(terms(), prec.budget)
 
 
 def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:

@@ -13,6 +13,10 @@ class IdentityMonomial(DomainError):
     """The identity monomial has no support; the query is undefined on it."""
 
 
+class EmptyInterval(DomainError, ValueError):
+    """An interval of levels [lo, hi) with hi not above lo."""
+
+
 class ZeroSeries(DomainError):
     """The exact zero series has no dominant term."""
 
@@ -55,3 +59,7 @@ class HNotSmaller(DomainError):
 
 class NotInvertible(DomainError):
     """Compositional inversion needs logarithmicity zero."""
+
+
+class NestingTooDeep(DomainError):
+    """The expression nests deeper than the evaluator can recurse."""

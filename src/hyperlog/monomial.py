@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import IdentityMonomial
+from .errors import EmptyInterval, IdentityMonomial
 from .ordinal import (EQ, GT, LT, ONE, ZERO, Ordinal, ord_add, ord_compare)
 
 
@@ -55,7 +55,7 @@ def make_monomial(pieces) -> Monomial:
     kept = [(lo, hi, Fraction(e)) for lo, hi, e in pieces if e != 0]
     for lo, hi, _ in kept:
         if ord_compare(lo, hi) != LT:
-            raise ValueError("empty interval [%s,%s)" % (lo, hi))
+            raise EmptyInterval("empty interval [%s,%s)" % (lo, hi))
     kept.sort(key=lambda p: p[0].key)
     merged = []
     for lo, hi, e in kept:
@@ -80,8 +80,13 @@ def exponent_at(m: Monomial, beta: Ordinal) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _merged_values(a: Monomial, b: Monomial):
-    """(lo, hi, exp_a, exp_b) tuples over the joint breakpoint refinement."""
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    """Group product: pointwise sum of exponent maps."""
+    if not a.pieces:
+        return b
+    if not b.pieces:
+        return a
+    # sweep the breakpoints of both maps, summing the exponents between them
     zero = Fraction(0)
     events = []
     for which, m in enumerate((a, b)):
@@ -89,27 +94,14 @@ def _merged_values(a: Monomial, b: Monomial):
             events.append((lo, which, e))
             events.append((hi, which, zero))
     events.sort(key=lambda p: p[0].key)
-    out = []
+    pieces = []
     cur = [zero, zero]
     prev = None
     for point, which, e in events:
         if prev is not None and prev != point and (cur[0] or cur[1]):
-            out.append((prev, point, cur[0], cur[1]))
+            pieces.append((prev, point, cur[0] + cur[1]))
         cur[which] = e
         prev = point
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Group product: pointwise sum of exponent maps."""
-    if not a.pieces:
-        return b
-    if not b.pieces:
-        return a
-    pieces = []
-    for lo, hi, ea, eb in _merged_values(a, b):
-        pieces.append((lo, hi, ea + eb))
     return make_monomial(pieces)
 
 

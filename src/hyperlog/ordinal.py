@@ -214,6 +214,55 @@ def format_ordinal(a: Ordinal) -> str:
     return "+".join(parts)
 
 
+def parse_ordinal_sum(p) -> Ordinal:
+    """Parse a sum of w^e*n and natural-number items from the token parser p.
+
+    p supplies peek(), take(tok=None) and error(msg), which must raise.
+    """
+    total = _parse_item(p)
+    while p.peek() == "+":
+        p.take("+")
+        total = ord_add(total, _parse_item(p))
+    return total
+
+
+def _parse_item(p) -> Ordinal:
+    tok = p.peek()
+    if tok is not None and tok.isdigit():
+        return ordinal(int(p.take()))
+    if tok != "w":
+        p.error("expected an ordinal")
+    exp = _parse_exponent(p)
+    coeff = 1
+    if p.peek() == "*":
+        p.take("*")
+        digits = p.take()
+        if not digits.isdigit():
+            p.error("expected a coefficient after *")
+        coeff = int(digits)
+    # w^e*n is the single normal-form term (e, n)
+    return Ordinal(((exp, coeff),)) if coeff else ZERO
+
+
+def _parse_exponent(p) -> Ordinal:
+    """The exponent e of a power w^e; a bare w has exponent 1."""
+    p.take("w")
+    if p.peek() != "^":
+        return ONE
+    p.take("^")
+    tok = p.peek()
+    if tok == "(":
+        p.take("(")
+        exp = parse_ordinal_sum(p)
+        p.take(")")
+        return exp
+    if tok == "w":
+        return omega_pow(_parse_exponent(p))
+    if tok is not None and tok.isdigit():
+        return ordinal(int(p.take()))
+    p.error("expected an exponent after ^")
+
+
 _ORD_TOKEN = re.compile(r"\s*(\d+|w|\^|\*|\+|\(|\))")
 
 
@@ -230,65 +279,28 @@ class _OrdParser:
             self.tokens.append((m.group(1), m.start(1)))
             pos = m.end()
 
+    def error(self, msg):
+        col = self.tokens[self.pos][1] + 1 if self.pos < len(self.tokens) \
+            else len(self.text) + 1
+        raise SyntaxError("%s at column %d in %r" % (msg, col, self.text))
+
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self, tok=None):
         if self.pos >= len(self.tokens):
             raise SyntaxError("unexpected end of ordinal: %r" % self.text)
-        got, col = self.tokens[self.pos]
+        got = self.tokens[self.pos][0]
         if tok is not None and got != tok:
-            raise SyntaxError("expected %r at column %d in %r" % (tok, col + 1, self.text))
+            self.error("expected %r" % tok)
         self.pos += 1
         return got
-
-    def parse_sum(self) -> Ordinal:
-        total = self.parse_item()
-        while self.peek() == "+":
-            self.take("+")
-            total = ord_add(total, self.parse_item())
-        return total
-
-    def parse_item(self) -> Ordinal:
-        tok = self.peek()
-        if tok == "w":
-            base = self.parse_power()
-            if self.peek() == "*":
-                self.take("*")
-                n = int(self.take())
-                acc = ZERO
-                for _ in range(n):
-                    acc = ord_add(acc, base)
-                return acc
-            return base
-        if tok is not None and tok.isdigit():
-            return ordinal(int(self.take()))
-        raise SyntaxError("expected ordinal term in %r" % self.text)
-
-    def parse_power(self) -> Ordinal:
-        self.take("w")
-        if self.peek() != "^":
-            return OMEGA
-        self.take("^")
-        tok = self.peek()
-        if tok == "(":
-            self.take("(")
-            exp = self.parse_sum()
-            self.take(")")
-        elif tok == "w":
-            exp = self.parse_power()
-        elif tok is not None and tok.isdigit():
-            exp = ordinal(int(self.take()))
-        else:
-            raise SyntaxError("expected exponent after ^ in %r" % self.text)
-        return omega_pow(exp)
 
 
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the w^e*n sum grammar; non-canonical orderings are renormalized."""
     parser = _OrdParser(text)
-    value = parser.parse_sum()
+    value = parse_ordinal_sum(parser)
     if parser.pos != len(parser.tokens):
-        tok, col = parser.tokens[parser.pos]
-        raise SyntaxError("trailing %r at column %d in %r" % (tok, col + 1, text))
+        parser.error("trailing %r" % parser.peek())
     return value

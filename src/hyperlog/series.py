@@ -5,12 +5,17 @@ optional bound monomial.  Semantics: the represented value is the listed sum
 plus a remainder every monomial of which is strictly below the bound.  Listed
 monomials are at or above the bound, so every listed coefficient is exact.
 Without a bound the series is the listed sum, exactly.
+
+Every expansion (inverse, logarithm, power, integration, composition) is an
+infinite sum of terms with strictly decreasing dominants, and truncated_sum
+is the one place where such an expansion's O(...) is set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import count
 
 from .errors import (IndeterminateDominant, IndeterminateSign,
                      IndeterminateSplit, IrrationalConstantPower, NonMonicLog,
@@ -186,35 +191,45 @@ def _split_dominant(a: Series):
     return m, c, eps
 
 
-def _dominant_monomial_or_bound(t: Series) -> Monomial | None:
-    if t.terms:
-        return t.terms[0][0]
-    return t.bound
+def truncated_sum(terms, budget: int) -> Series:
+    """Sum series whose dominant monomials strictly decrease.
+
+    An exact-zero term, or the end of terms, ends the sum exactly; a term
+    with only a bound ends it at that bound; after budget terms the sum is
+    closed with O(dominant of the last term), which bounds every term left
+    out because the dominants decrease.
+    """
+    acc = S_ZERO
+    for n, t in enumerate(terms, 1):
+        if is_exact_zero(t):
+            break
+        acc = t if n == 1 else ser_add(acc, t)
+        if not t.terms:
+            break
+        if n == budget:
+            return with_bound(acc, t.terms[0][0])
+    return acc
 
 
 def ser_mul_inverse(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Multiplicative inverse by the geometric expansion of the tail."""
     m, c, eps = _split_dominant(a)
-    acc = S_ONE
-    t = S_ONE
-    trunc = None
-    if not is_exact_zero(eps):
-        # eps is infinitesimal, so everything below its budget-th power is
-        # truncated at the end; pruning early keeps the cross products small
-        pre = None
-        if eps.terms and prec.budget > 1:
-            pre = mono_pow(eps.terms[0][0], prec.budget - 1)
-        for _ in range(1, prec.budget):
+    if is_exact_zero(eps):
+        return from_monomial(mono_pow(m, -1), Fraction(1) / c)
+    # eps is infinitesimal, so everything below its budget-th power is
+    # truncated at the end; pruning early keeps the cross products small
+    pre = None
+    if eps.terms and prec.budget > 1:
+        pre = mono_pow(eps.terms[0][0], prec.budget - 1)
+
+    def powers():
+        t = S_ONE
+        while True:
+            yield t
             t = with_bound(ser_neg(ser_mul(t, eps)), pre)
-            if is_exact_zero(t):
-                break
-            acc = ser_add(acc, t)
-        else:
-            trunc = _dominant_monomial_or_bound(t)
-    out = ser_mul_mono(acc, mono_pow(m, -1), Fraction(1) / c)
-    if trunc is not None:
-        out = with_bound(out, mono_mul(trunc, mono_pow(m, -1)))
-    return out
+
+    return ser_mul_mono(truncated_sum(powers(), prec.budget),
+                        mono_pow(m, -1), Fraction(1) / c)
 
 
 def log_monomial(m: Monomial, prec: Precision = DEFAULT_PRECISION) -> Series:
@@ -253,22 +268,17 @@ def ser_log(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
         raise NonMonicLog("leading coefficient %s is not 1" % c)
     _, _, eps = _split_dominant(a)
     out = log_monomial(m, prec)
-    if not is_exact_zero(eps):
-        acc = S_ZERO
+    if is_exact_zero(eps):
+        return out
+    pre = mono_pow(eps.terms[0][0], prec.budget) if eps.terms else None
+
+    def terms():
         t = S_ONE
-        trunc = None
-        pre = mono_pow(eps.terms[0][0], prec.budget) if eps.terms else None
-        for n in range(1, prec.budget + 1):
+        for n in count(1):
             t = with_bound(ser_mul(t, eps), pre)
-            if is_exact_zero(t):
-                break
-            acc = ser_add(acc, ser_scale(t, Fraction((-1) ** (n - 1), n)))
-        else:
-            trunc = _dominant_monomial_or_bound(t)
-        out = ser_add(out, acc)
-        if trunc is not None:
-            out = with_bound(out, trunc)
-    return out
+            yield ser_scale(t, Fraction((-1) ** (n - 1), n))
+
+    return ser_add(out, truncated_sum(terms(), prec.budget))
 
 
 def rational_pow(c: Fraction, t: Fraction) -> Fraction | None:
@@ -281,22 +291,24 @@ def rational_pow(c: Fraction, t: Fraction) -> Fraction | None:
         return Fraction(1)
     if t < 0:
         c, t = 1 / c, -t
-    num, den = c.numerator, c.denominator
-
-    def int_root(n: int, k: int):
-        if k == 1:
-            return n
-        r = round(n ** (1.0 / k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**k == n:
-                return cand
-        return None
-
-    rn = int_root(num, t.denominator)
-    rd = int_root(den, t.denominator)
+    rn = _int_root(c.numerator, t.denominator)
+    rd = _int_root(c.denominator, t.denominator)
     if rn is None or rd is None:
         return None
     return Fraction(rn**t.numerator, rd**t.numerator)
+
+
+def _int_root(n: int, k: int) -> int | None:
+    """The exact k-th root of the natural number n, or None if n has none."""
+    if n < 2:
+        return n
+    # integer Newton from above: r stays at or above the floor of the root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == n else None
+        r = s
 
 
 def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION) -> Series:
@@ -307,50 +319,26 @@ def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION) -> Series:
     if ct is None:
         raise IrrationalConstantPower("%s**%s is irrational" % (c, t))
     _, _, eps = _split_dominant(a)
-    acc = S_ONE
-    if not is_exact_zero(eps):
+    if is_exact_zero(eps):
+        return from_monomial(mono_pow(m, t), ct)
+    terminating = t.denominator == 1 and 0 <= t <= prec.budget
+    pre = None
+    if eps.terms and not terminating:
+        pre = mono_pow(eps.terms[0][0], prec.budget)
+
+    def terms():
+        # 1, then the binomial terms; a terminating series ends itself
+        yield S_ONE
         p = S_ONE
         coeff = Fraction(1)
-        trunc = None
-        pre = None
-        terminating = t.denominator == 1 and 0 <= t <= prec.budget
-        if eps.terms and not terminating:
-            pre = mono_pow(eps.terms[0][0], prec.budget)
-        for n in range(1, prec.budget + 1):
+        for n in count(1):
             coeff = coeff * (t - (n - 1)) / n
             if coeff == 0:
-                break
+                return
             p = with_bound(ser_mul(p, eps), pre)
-            if is_exact_zero(p):
-                break
-            acc = ser_add(acc, ser_scale(p, coeff))
-        else:
-            trunc = _dominant_monomial_or_bound(p)
-        if trunc is not None:
-            acc = with_bound(acc, trunc)
-    return ser_mul_mono(acc, mono_pow(m, t), ct)
+            yield ser_scale(p, coeff)
 
-
-def ser_exp_small(h: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
-    """exp of an infinitesimal series: sum of h^n / n!."""
-    if is_exact_zero(h):
-        return S_ONE
-    if h.terms and mono_compare(h.terms[0][0], MONE) != LT:
-        raise ValueError("exp needs an infinitesimal argument")
-    acc = S_ONE
-    t = S_ONE
-    trunc = None
-    pre = mono_pow(h.terms[0][0], prec.budget) if h.terms else None
-    for n in range(1, prec.budget + 1):
-        t = with_bound(ser_scale(ser_mul(t, h), Fraction(1, n)), pre)
-        if is_exact_zero(t):
-            break
-        acc = ser_add(acc, t)
-    else:
-        trunc = _dominant_monomial_or_bound(t)
-    if trunc is not None:
-        acc = with_bound(acc, trunc)
-    return acc
+    return ser_mul_mono(truncated_sum(terms(), prec.budget + 1), mono_pow(m, t), ct)
 
 
 def ser_parts(a: Series):

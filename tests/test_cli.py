@@ -75,6 +75,36 @@ def test_script_mode_continues_after_errors(tmp_path):
     assert lines[1] == "x - 1"
 
 
+def test_script_mode_continues_after_too_deep_nesting(tmp_path):
+    script = tmp_path / "deep.txt"
+    script.write_text("(" * 3000 + "x" + ")" * 3000 + "\nx + 1\n")
+    buf = io.StringIO()
+    old = sys.stdout
+    sys.stdout = buf
+    try:
+        code = main(["--script", str(script)])
+    finally:
+        sys.stdout = old
+    lines = buf.getvalue().splitlines()
+    assert code == 1
+    assert lines[0].startswith("error: NestingTooDeep")
+    assert lines[1] == "x + 1"
+
+
+def test_long_chains_evaluate_without_recursion():
+    assert run_eval("+".join(["x"] * 3000), "text", 8) == (0, "3000*x")
+    assert run_eval("-".join(["x"] * 3000), "text", 8) == (0, "-2998*x")
+
+
+def test_former_untyped_failures_are_values_or_domain_errors():
+    assert run_eval("prod(l[3..1])", "text", 8) == (
+        1, "error: EmptyInterval: empty interval [3,1)")
+    assert run_eval("(3^80)^(1/2)", "text", 8) == (0, str(3**40))
+    assert run_eval("(10^400)^(1/2)", "text", 8) == (0, str(10**200))
+    code, out = run_eval("inv@4(3^80*x^2+1)", "text", 8)
+    assert code == 0 and out.startswith("1/%d*x^(1/2) - " % 3**40)
+
+
 def test_repl_evaluates_until_eof(monkeypatch, capsys):
     feed = iter(["1/(x+1)", "  ", "x +"])
 

@@ -1,9 +1,14 @@
 """Ordinal arithmetic: frozen values, oracle agreement, and order laws."""
+from time import perf_counter
+
+import pytest
 from hypothesis import given, settings
 
 from hyperlog import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, is_limit,
                       is_successor, lambda_coeff, monomial_cnf_list, omega_pow,
                       ord_add, ord_compare, ordinal, parse_ordinal)
+from hyperlog.cli import Atom, parse
+from hyperlog.monomial import hyperlog
 from hyperlog.ordinal import EQ, GT, LT, ordinal_to_int, predecessor
 
 from conftest import small_ordinals
@@ -59,6 +64,21 @@ def test_cnf_list_expands_coefficients():
     assert monomial_cnf_list(parse_ordinal("w^2*2+w")) == [
         ordinal(2), ordinal(2), ordinal(1)]
     assert monomial_cnf_list(ZERO) == []
+
+
+def test_large_coefficients_parse_directly():
+    start = perf_counter()
+    assert parse_ordinal("w^2*100000000+w*100000000") == Ordinal(
+        ((ordinal(2), 100000000), (ONE, 100000000)))
+    assert parse("l[w*100000000]") == Atom(hyperlog(Ordinal(((ONE, 100000000),))))
+    assert perf_counter() - start < 1.0
+    assert parse_ordinal("w^3*0+2") == ordinal(2)
+
+
+def test_malformed_ordinals_raise_syntax_errors():
+    for bad in ("w*w", "w*", "w^", "w+", "w^(2", "2 w", "x"):
+        with pytest.raises(SyntaxError):
+            parse_ordinal(bad)
 
 
 def test_ordinal_to_int():

@@ -20,7 +20,8 @@ from hyperlog import (DEFAULT_PRECISION, IndeterminateSplit, MONE, NonMonicLog,
                       ser_mul, ser_mul_inverse, ser_neg, ser_parts, ser_pow,
                       ser_scale, ser_sub)
 from hyperlog.monomial import exponent_at
-from hyperlog.series import S_ONE, S_ZERO, rational_pow, with_bound
+from hyperlog.series import (S_ONE, S_ZERO, rational_pow, truncated_sum,
+                             with_bound)
 
 from conftest import rand_series
 
@@ -195,6 +196,62 @@ def test_rational_pow():
     assert rational_pow(Fraction(4), Fraction(1, 2)) == 2
     assert rational_pow(Fraction(8, 27), Fraction(2, 3)) == Fraction(4, 9)
     assert rational_pow(Fraction(2), Fraction(1, 2)) is None
+    # roots too large for a float, or too close to one, stay exact
+    assert rational_pow(Fraction((10**20 + 39) ** 2), Fraction(1, 2)) == 10**20 + 39
+    assert rational_pow(Fraction(3**80), Fraction(1, 2)) == 3**40
+    assert rational_pow(Fraction(10**400), Fraction(-1, 2)) == Fraction(1, 10**200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=10**60),
+       st.integers(min_value=1, max_value=10**60),
+       st.integers(min_value=1, max_value=7), st.booleans())
+def test_rational_pow_matches_integer_nthroot(n, d, k, powers):
+    if powers:
+        n, d = n**k, d**k
+    c = Fraction(n, d)
+    rn, exact_n = sympy.integer_nthroot(c.numerator, k)
+    rd, exact_d = sympy.integer_nthroot(c.denominator, k)
+    want = Fraction(rn, rd) if exact_n and exact_d else None
+    assert rational_pow(c, Fraction(1, k)) == want
+
+
+# --- truncated sums ---------------------------------------------------------------
+
+def x_pow(e, c=1):
+    return from_monomial(mono_pow(X, e), c)
+
+
+def test_truncated_sum_ends_at_an_exact_zero():
+    # the term after the zero would be wrong; it must never be read
+    terms = iter([x_pow(0), x_pow(-1), S_ZERO, x_pow(5)])
+    assert eq_exact(truncated_sum(terms, 8), ser_add(x_pow(0), x_pow(-1)))
+
+
+def test_truncated_sum_ends_with_the_iterable():
+    assert eq_exact(truncated_sum([x_pow(0), x_pow(-2, 3)], 8),
+                    ser_add(x_pow(0), x_pow(-2, 3)))
+    assert eq_exact(truncated_sum([], 8), S_ZERO)
+
+
+def test_truncated_sum_ends_at_a_bound_only_term():
+    terms = iter([x_pow(0), with_bound(S_ZERO, mono_pow(X, -2)), x_pow(5)])
+    out = truncated_sum(terms, 8)
+    assert out.terms == x_pow(0).terms
+    assert out.bound == mono_pow(X, -2)
+
+
+def test_truncated_sum_closes_after_budget_terms():
+    def geometric():
+        n = 0
+        while True:
+            yield x_pow(-n)
+            n += 1
+    out = truncated_sum(geometric(), 3)
+    assert out.terms == ser_add(ser_add(x_pow(0), x_pow(-1)), x_pow(-2)).terms
+    assert out.bound == mono_pow(X, -2)
+    out = truncated_sum(geometric(), 1)
+    assert out.terms == x_pow(0).terms and out.bound == MONE
 
 
 # --- ring laws -------------------------------------------------------------------
