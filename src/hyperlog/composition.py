@@ -9,6 +9,19 @@ three-step shift inverse followed by a Taylor deformation.  Compositional
 inversion peels a scaling term and a monomial factor, then finishes with a
 tangent-to-identity fixed-point iteration.  Every infinite sum here goes
 through series.truncated_sum, which sets its truncation bound.
+
+Floors.  A Taylor sum of image(D^n w) * e^n / n! (the deformation around the
+third iterated logarithm, and each step of the inversion) is closed by
+truncated_sum at the dominant of its budget-th term, F = d_(budget-1), where
+d_n = image_dom(dom D^n w) * dom(e)^n is a product of dominant monomials.
+When e has a term and D^0 w ... D^(budget-1) w all have terms, the sum
+provably reaches the budget, so F is computed first and no term below it is
+formed; otherwise the sum may end exactly, and no floor is set.  A monomial
+with an infinite [n, omega) piece ends in a factor whose bound cuts the
+product at its dominant times rel = dom(eps) * x, eps being the tower's last
+logarithm less its exact hyperlogarithm; when rel < 1 every partial product
+and every power of a logarithm is cut there too.  The floors are bounds the
+result carries anyway, so they change no output.
 """
 from __future__ import annotations
 
@@ -24,14 +37,13 @@ from .monomial import (MONE, Monomial, X, exponent_at, hyperlog,
                        hyperlog_deriv, make_monomial, mono_compare,
                        mono_min_support, mono_mul, mono_pow, mono_shift,
                        mono_split)
-from .ordinal import (LT, OMEGA, ONE, Ordinal, ZERO, lambda_coeff,
-                      monomial_cnf_list, omega_pow, ord_add, ord_compare,
-                      ordinal, ordinal_to_int)
+from .ordinal import (GT, LT, OMEGA, ONE, Ordinal, ZERO, lambda_coeff,
+                      omega_pow, ord_add, ord_compare, ordinal, ordinal_to_int)
 from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
-                     _join_bounds, from_const, from_monomial, is_exact_zero,
-                     make_series, rational_pow, ser_add, ser_dominant, ser_log,
-                     ser_mul, ser_neg, ser_pow, ser_scale, ser_sub,
-                     truncated_sum, with_bound)
+                     _dominant_monomial_or_bound, _join_bounds, from_const,
+                     from_monomial, is_exact_zero, make_series, rational_pow,
+                     ser_add, ser_dominant, ser_log, ser_mul, ser_neg, ser_pow,
+                     ser_scale, ser_sub, truncated_sum, with_bound)
 
 X_SERIES = from_monomial(X)
 
@@ -55,12 +67,6 @@ def logarithmicity(g: Series) -> Logarithmicity:
     return Logarithmicity(mono_min_support(m))
 
 
-def _dominant_monomial_or_bound(t: Series) -> Monomial | None:
-    if t.terms:
-        return t.terms[0][0]
-    return t.bound
-
-
 def _mod_derive_high(t: Series, mu: Ordinal, prec: Precision) -> Series:
     """Modified derivation on series supported at or above mu.
 
@@ -78,41 +84,59 @@ def _mod_derive_high(t: Series, mu: Ordinal, prec: Precision) -> Series:
     return make_series(terms, bound)
 
 
-def _exp_neg_mod_derive(m: Monomial, mu: Ordinal, prec: Precision) -> Series:
-    """Apply the exponential of the negated modified derivation to a monomial."""
+def _exp_neg_mod_derive(m: Monomial, mu: Ordinal, n: int,
+                        prec: Precision) -> Series:
+    """Apply the exponential of n times the negated modified derivation."""
     def terms():
         t = from_monomial(m)
-        for n in count(1):
+        for k in count(1):
             yield t
-            t = ser_scale(_mod_derive_high(t, mu, prec), Fraction(-1, n))
+            t = ser_scale(_mod_derive_high(t, mu, prec), Fraction(-n, k))
 
     return truncated_sum(terms(), prec.budget)
 
 
 def compose_hyperlog_omega(f: Series, beta: Ordinal,
-                           prec: Precision = DEFAULT_PRECISION) -> Series:
-    """Right-compose f with the level-omega^beta logarithm."""
+                           prec: Precision = DEFAULT_PRECISION,
+                           n: int = 1) -> Series:
+    """Right-compose f n times with the level-omega^beta logarithm.
+
+    The part of each monomial below mu = omega^(beta+1) is shifted by
+    omega^beta*n; the exponential of n times the negated modified derivation
+    acts on the part at or above mu.
+    """
     mu = omega_pow(ord_add(beta, ONE))
-    shift = omega_pow(beta)
+    shift = Ordinal(((beta, n),))
     out = S_ZERO
     for m, c in f.terms:
         low, high = mono_split(m, mu)
         part = from_monomial(mono_shift(low, shift), c)
         if high != MONE:
-            part = ser_mul(part, _exp_neg_mod_derive(high, mu, prec))
+            part = ser_mul(part, _exp_neg_mod_derive(high, mu, n, prec))
         out = ser_add(out, part)
     if f.bound is not None:
-        blow, bhigh = mono_split(f.bound, mu)
-        out = with_bound(out, mono_mul(mono_shift(blow, shift), bhigh))
+        out = with_bound(out, _hyperlog_image(f.bound, shift))
     return out
 
 
 def compose_hyperlog(f: Series, gamma: Ordinal,
                      prec: Precision = DEFAULT_PRECISION) -> Series:
     """Right-compose f with the level-gamma logarithm via the normal form."""
-    for beta in reversed(monomial_cnf_list(gamma)):
-        f = compose_hyperlog_omega(f, beta, prec)
+    for beta, n in reversed(gamma.terms):
+        f = compose_hyperlog_omega(f, beta, prec, n)
     return f
+
+
+def _hyperlog_image(m: Monomial, gamma: Ordinal) -> Monomial:
+    """Dominant monomial of compose_hyperlog(m, gamma), from m alone.
+
+    Each step keeps the part at or above omega^(beta+1), the leading monomial
+    of its exponential, and shifts the part below.
+    """
+    for beta, n in reversed(gamma.terms):
+        low, high = mono_split(m, omega_pow(ord_add(beta, ONE)))
+        m = mono_mul(mono_shift(low, Ordinal(((beta, n),))), high)
+    return m
 
 
 def _check_above_rationals(g: Series):
@@ -138,10 +162,10 @@ class LogTower:
             self.levels.append(ser_log(self.levels[-1], self.prec))
         return self.levels[n]
 
-    def log_pow(self, n: int, r) -> Series:
-        key = (n, r)
+    def log_pow(self, n: int, r, floor: Monomial | None = None) -> Series:
+        key = (n, r, floor)
         if key not in self._pows:
-            self._pows[key] = ser_pow(self.log(n), r, self.prec)
+            self._pows[key] = ser_pow(self.log(n), r, self.prec, floor)
         return self._pows[key]
 
 
@@ -157,30 +181,38 @@ def _compose_monomial_tower(m: Monomial, tower: LogTower,
         return S_ONE
     if m in tower._monos:
         return tower._monos[m]
-    result = S_ONE
     lam = tower.lam
-    for lo, hi, r in m.pieces:
-        if ord_compare(hi, OMEGA) == 1:
-            raise ValueError("monomial support reaches beyond the finite levels")
-        start = ordinal_to_int(lo)
-        if hi != OMEGA:
-            stop = ordinal_to_int(hi)
-            for n in range(start, stop):
-                result = ser_mul(result, tower.log_pow(n, r))
-            continue
+    lo, hi, r = m.pieces[-1]
+    if ord_compare(hi, OMEGA) == GT:
+        raise ValueError("monomial support reaches beyond the finite levels")
+    factor = rel = None
+    if hi == OMEGA:
         # infinite tail: explicit factors, then the exact remainder monomial
-        cut = start + prec.budget
-        for n in range(start, cut):
-            result = ser_mul(result, tower.log_pow(n, r))
+        cut = ordinal_to_int(lo) + prec.budget
         tail = make_monomial([(ord_add(lam, ordinal(cut)),
                                ord_add(lam, OMEGA), r)])
         eps = ser_sub(tower.log(cut), from_monomial(hyperlog(ord_add(lam, ordinal(cut)))))
         if is_exact_zero(eps):
             factor = from_monomial(tail)
         else:
-            dm = _dominant_monomial_or_bound(eps)
-            factor = Series(((tail, Fraction(1)),),
-                            mono_mul(tail, mono_mul(dm, X)))
+            rel = mono_mul(_dominant_monomial_or_bound(eps), X)
+            factor = Series(((tail, Fraction(1)),), mono_mul(tail, rel))
+            if mono_compare(rel, MONE) != LT:
+                rel = None
+    result = S_ONE
+    for lo, hi, r in m.pieces:
+        start = ordinal_to_int(lo)
+        stop = start + prec.budget if hi == OMEGA else ordinal_to_int(hi)
+        for n in range(start, stop):
+            if rel is None:
+                result = ser_mul(result, tower.log_pow(n, r))
+            else:
+                # the tail factor's bound cuts the product at its dominant * rel
+                dom = mono_pow(ser_dominant(tower.log(n))[0], r)
+                floor = mono_mul(mono_mul(result.terms[0][0], dom), rel)
+                result = ser_mul(result, tower.log_pow(n, r, mono_mul(dom, rel)),
+                                 floor)
+    if factor is not None:
         result = ser_mul(result, factor)
     tower._monos[m] = result
     return result
@@ -210,6 +242,43 @@ def up3(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     return truncated_sum(terms(), prec.budget)
 
 
+def _taylor_sum(w: Series, e: Series, image, image_dom,
+                prec: Precision) -> Series:
+    """The Taylor sum of image(D^n w) * e^n / n! over n >= 0.
+
+    image maps a series to its composition with the point the sum expands
+    around, and image_dom maps a monomial to the dominant monomial of its
+    image.  When the sum provably reaches the budget, its final bound F is
+    known from dominants: e^n is cut at F / image_dom(dom D^n w), which
+    leaves image(D^n w) cut at F / dom(e)^n and every term at F.
+    """
+    budget = prec.budget
+    derivs = [w]
+    floor = None
+    if e.terms:
+        while len(derivs) < budget and derivs[-1].terms:
+            derivs.append(derive(derivs[-1], prec))
+        if derivs[-1].terms and len(derivs) == budget:
+            floor = mono_mul(image_dom(derivs[-1].terms[0][0]),
+                             mono_pow(e.terms[0][0], budget - 1))
+
+    def terms():
+        yield with_bound(image(w), floor)
+        dn = w
+        epow = S_ONE
+        for n in count(1):
+            # a zero derivative or power makes this term, and the sum, end
+            dn = derivs[n] if n < len(derivs) else derive(dn, prec)
+            cut = None
+            if floor is not None:
+                cut = mono_mul(floor, mono_pow(image_dom(dn.terms[0][0]), -1))
+            epow = ser_mul(epow, e, cut)
+            yield ser_scale(ser_mul(image(dn), epow, floor),
+                            Fraction(1, factorial(n)))
+
+    return truncated_sum(terms(), budget)
+
+
 def _taylor_deform_tower(phi: Series, tower: LogTower,
                          prec: Precision) -> Series:
     """Taylor-deform phi around the exact logarithm at the tower's level."""
@@ -217,18 +286,8 @@ def _taylor_deform_tower(phi: Series, tower: LogTower,
     eps = ser_sub(tower.log(3), from_monomial(hyperlog(level)))
     if is_exact_zero(eps):
         return compose_hyperlog(phi, level, prec)
-
-    def terms():
-        yield compose_hyperlog(phi, level, prec)
-        dn = phi
-        epow = S_ONE
-        for n in count(1):
-            dn = derive(dn, prec)
-            epow = ser_mul(epow, eps)
-            yield ser_scale(ser_mul(compose_hyperlog(dn, level, prec), epow),
-                            Fraction(1, factorial(n)))
-
-    return truncated_sum(terms(), prec.budget)
+    return _taylor_sum(phi, eps, lambda t: compose_hyperlog(t, level, prec),
+                       lambda m: _hyperlog_image(m, level), prec)
 
 
 def taylor_deform(phi: Series, g: Series,
@@ -347,19 +406,8 @@ def taylor_compose(f: Series, g: Series, h: Series,
     return truncated_sum(terms(), prec.budget)
 
 
-def _taylor_at_identity(w: Series, e: Series, prec: Precision) -> Series:
-    """Evaluate w at x + e for e strictly below x, by the Taylor sum."""
-    def terms():
-        yield w
-        dn = w
-        epow = S_ONE
-        for n in count(1):
-            # a zero derivative or power makes this term, and the sum, end
-            dn = derive(dn, prec)
-            epow = ser_mul(epow, e)
-            yield ser_scale(ser_mul(dn, epow), Fraction(1, factorial(n)))
-
-    return truncated_sum(terms(), prec.budget)
+def _same(v):
+    return v
 
 
 def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
@@ -390,7 +438,8 @@ def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     e = S_ZERO
     delta = None
     for _ in range(prec.budget):
-        e_new = ser_neg(_taylor_at_identity(w, e, prec))
+        # w at x + e, by the Taylor sum around the identity
+        e_new = ser_neg(_taylor_sum(w, e, _same, _same, prec))
         delta = ser_sub(e_new, e)
         e = e_new
         if is_exact_zero(delta):

@@ -197,20 +197,36 @@ def ordinal_to_int(a: Ordinal) -> int:
 
 # --- text form: sums of w^e*n, e.g. "w^w*2+w*3+5" ---------------------------
 
+def format_int(n: int) -> str:
+    """The exact decimal text of an integer of any size.
+
+    str() refuses integers longer than sys.get_int_max_str_digits() digits,
+    which is never below 640; larger integers are split at a power of ten
+    into halves that are converted the same way.
+    """
+    if n < 0:
+        return "-" + format_int(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(n, 10 ** half)
+    return format_int(high) + format_int(low).zfill(half)
+
+
 def format_ordinal(a: Ordinal) -> str:
     if not a.terms:
         return "0"
     parts = []
     for exp, coeff in a.terms:
         if exp == ZERO:
-            parts.append(str(coeff))
+            parts.append(format_int(coeff))
             continue
         if exp == ONE:
             body = "w"
         else:
             inner = format_ordinal(exp)
             body = "w^(%s)" % inner if ("+" in inner or "*" in inner) else "w^" + inner
-        parts.append(body if coeff == 1 else "%s*%d" % (body, coeff))
+        parts.append(body if coeff == 1 else "%s*%s" % (body, format_int(coeff)))
     return "+".join(parts)
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .composition import Logarithmicity
 from .monomial import MONE, Monomial, make_monomial
-from .ordinal import (ONE, Ordinal, ZERO, format_ordinal, ord_add,
-                      parse_ordinal)
+from .ordinal import (ONE, Ordinal, ZERO, format_int, format_ordinal,
+                      ord_add, parse_ordinal)
 from .series import Series, make_series
 
 SCHEMA = "hyperlog/1"
@@ -21,12 +21,19 @@ SCHEMA = "hyperlog/1"
 
 # --- text --------------------------------------------------------------------
 
+def _frac_text(c: Fraction) -> str:
+    """str(c), exact for numerators and denominators of any size."""
+    if c.denominator == 1:
+        return format_int(c.numerator)
+    return "%s/%s" % (format_int(c.numerator), format_int(c.denominator))
+
+
 def _exp_text(e: Fraction) -> str:
     if e == 1:
         return ""
     if e.denominator == 1:
-        return "^%d" % e
-    return "^(%s)" % e
+        return "^" + _frac_text(e)
+    return "^(%s)" % _frac_text(e)
 
 
 def _atom_text(lo: Ordinal) -> str:
@@ -48,12 +55,12 @@ def format_monomial_text(m: Monomial) -> str:
 
 def _term_text(m: Monomial, c: Fraction) -> str:
     if m == MONE:
-        return str(c)
+        return _frac_text(c)
     if c == 1:
         return format_monomial_text(m)
     if c == -1:
         return "-" + format_monomial_text(m)
-    return "%s*%s" % (c, format_monomial_text(m))
+    return "%s*%s" % (_frac_text(c), format_monomial_text(m))
 
 
 def format_series_text(s: Series) -> str:
@@ -81,26 +88,26 @@ def format_ordinal_latex(a: Ordinal) -> str:
     parts = []
     for exp, coeff in a.terms:
         if exp == ZERO:
-            parts.append(str(coeff))
+            parts.append(format_int(coeff))
             continue
         body = r"\omega" if exp == ONE else r"\omega^{%s}" % format_ordinal_latex(exp)
-        parts.append(body if coeff == 1 else r"%s \cdot %d" % (body, coeff))
+        parts.append(body if coeff == 1
+                     else r"%s \cdot %s" % (body, format_int(coeff)))
     return " + ".join(parts)
 
 
 def _frac_latex(c: Fraction) -> str:
     if c.denominator == 1:
-        return str(c)
+        return format_int(c.numerator)
     sign = "-" if c < 0 else ""
-    return r"%s\frac{%d}{%d}" % (sign, abs(c.numerator), c.denominator)
+    return r"%s\frac{%s}{%s}" % (sign, format_int(abs(c.numerator)),
+                                 format_int(c.denominator))
 
 
 def _exp_latex(e: Fraction) -> str:
     if e == 1:
         return ""
-    if e.denominator == 1:
-        return "^{%d}" % e
-    return "^{%s/%s}" % (e.numerator, e.denominator)
+    return "^{%s}" % _frac_text(e)
 
 
 def format_monomial_latex(m: Monomial) -> str:
@@ -142,15 +149,15 @@ def format_series_latex(s: Series) -> str:
 # --- JSON --------------------------------------------------------------------
 
 def monomial_to_json(m: Monomial) -> list:
-    return [{"from": format_ordinal(lo), "to": format_ordinal(hi), "exp": str(e)}
-            for lo, hi, e in m.pieces]
+    return [{"from": format_ordinal(lo), "to": format_ordinal(hi),
+             "exp": _frac_text(e)} for lo, hi, e in m.pieces]
 
 
 def series_to_json(s: Series) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "series",
-        "terms": [{"monomial": monomial_to_json(m), "coeff": str(c)}
+        "terms": [{"monomial": monomial_to_json(m), "coeff": _frac_text(c)}
                   for m, c in s.terms],
         "bound": monomial_to_json(s.bound) if s.bound is not None else None,
     }

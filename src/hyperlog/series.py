@@ -9,6 +9,12 @@ Without a bound the series is the listed sum, exactly.
 Every expansion (inverse, logarithm, power, integration, composition) is an
 infinite sum of terms with strictly decreasing dominants, and truncated_sum
 is the one place where such an expansion's O(...) is set.
+
+Floors.  A floor is a bound monomial that the caller attaches to the result
+anyway, known in advance from dominant monomials alone.  An operation given
+a floor returns exactly with_bound(result, floor), but never forms a product
+below it: ser_mul(a, b, floor) and ser_pow(a, t, prec, floor) stop their
+rows and their expansions there.
 """
 from __future__ import annotations
 
@@ -125,10 +131,11 @@ def ser_mul_mono(a: Series, m: Monomial, c=1) -> Series:
     return Series(terms, bound)
 
 
-def ser_mul(a: Series, b: Series) -> Series:
+def ser_mul(a: Series, b: Series, floor: Monomial | None = None) -> Series:
+    """The product, weakened by the floor: with_bound(a*b, floor)."""
     if is_exact_zero(a) or is_exact_zero(b):
-        return S_ZERO
-    bound = None
+        return Series((), floor)
+    bound = floor
     if b.bound is not None and a.terms:
         bound = _join_bounds(bound, mono_mul(a.terms[0][0], b.bound))
     if a.bound is not None and b.terms:
@@ -156,6 +163,13 @@ def ser_dominant(a: Series):
     if a.bound is not None:
         raise IndeterminateDominant("dominant term hidden below the bound")
     raise ZeroSeries("the zero series has no dominant term")
+
+
+def _dominant_monomial_or_bound(a: Series) -> Monomial | None:
+    """The leading monomial, else the bound; None for the exact zero."""
+    if a.terms:
+        return a.terms[0][0]
+    return a.bound
 
 
 def ser_compare_zero(a: Series) -> int:
@@ -226,7 +240,7 @@ def ser_mul_inverse(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
         t = S_ONE
         while True:
             yield t
-            t = with_bound(ser_neg(ser_mul(t, eps)), pre)
+            t = ser_neg(ser_mul(t, eps, pre))
 
     return ser_mul_mono(truncated_sum(powers(), prec.budget),
                         mono_pow(m, -1), Fraction(1) / c)
@@ -275,7 +289,7 @@ def ser_log(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     def terms():
         t = S_ONE
         for n in count(1):
-            t = with_bound(ser_mul(t, eps), pre)
+            t = ser_mul(t, eps, pre)
             yield ser_scale(t, Fraction((-1) ** (n - 1), n))
 
     return ser_add(out, truncated_sum(terms(), prec.budget))
@@ -311,7 +325,8 @@ def _int_root(n: int, k: int) -> int | None:
         r = s
 
 
-def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION) -> Series:
+def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION,
+            floor: Monomial | None = None) -> Series:
     """Rational power of a positive series via the binomial expansion."""
     t = Fraction(t)
     m, c = _check_positive_leading(a)
@@ -320,11 +335,13 @@ def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION) -> Series:
         raise IrrationalConstantPower("%s**%s is irrational" % (c, t))
     _, _, eps = _split_dominant(a)
     if is_exact_zero(eps):
-        return from_monomial(mono_pow(m, t), ct)
+        return with_bound(from_monomial(mono_pow(m, t), ct), floor)
     terminating = t.denominator == 1 and 0 <= t <= prec.budget
     pre = None
     if eps.terms and not terminating:
         pre = mono_pow(eps.terms[0][0], prec.budget)
+    if floor is not None:
+        pre = _join_bounds(pre, mono_mul(floor, mono_pow(m, -t)))
 
     def terms():
         # 1, then the binomial terms; a terminating series ends itself
@@ -335,10 +352,11 @@ def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION) -> Series:
             coeff = coeff * (t - (n - 1)) / n
             if coeff == 0:
                 return
-            p = with_bound(ser_mul(p, eps), pre)
+            p = ser_mul(p, eps, pre)
             yield ser_scale(p, coeff)
 
-    return ser_mul_mono(truncated_sum(terms(), prec.budget + 1), mono_pow(m, t), ct)
+    return with_bound(ser_mul_mono(truncated_sum(terms(), prec.budget + 1),
+                                   mono_pow(m, t), ct), floor)
 
 
 def ser_parts(a: Series):

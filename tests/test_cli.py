@@ -91,6 +91,42 @@ def test_script_mode_continues_after_too_deep_nesting(tmp_path):
     assert lines[1] == "x + 1"
 
 
+def _decimal(n):
+    """The digits of n > 0, converted nine at a time from the low end."""
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**9)
+        chunks.append(r)
+    return str(chunks[-1]) + "".join("%09d" % c for c in reversed(chunks[:-1]))
+
+
+def test_script_prints_integers_past_the_str_digit_limit(tmp_path):
+    script = tmp_path / "big.txt"
+    script.write_text("2^20000\nx + 1\n")
+    buf = io.StringIO()
+    old = sys.stdout
+    sys.stdout = buf
+    try:
+        code = main(["--script", str(script)])
+    finally:
+        sys.stdout = old
+    assert code == 0
+    assert buf.getvalue().splitlines() == [_decimal(2**20000), "x + 1"]
+
+
+def test_big_integers_render_exactly_in_every_format():
+    expr = "3^9000*x^(2^20000) - 1/5^7000"
+    c, e, d = _decimal(3**9000), _decimal(2**20000), _decimal(5**7000)
+    assert run_eval(expr, "text", 8) == (0, "%s*x^%s - 1/%s" % (c, e, d))
+    assert run_eval(expr, "latex", 8) == (
+        0, r"%s \ell_{0}^{%s} - \frac{1}{%s}" % (c, e, d))
+    code, out = run_eval(expr, "json", 8)
+    terms = json.loads(out)["terms"]
+    assert code == 0
+    assert [t["coeff"] for t in terms] == [c, "-1/" + d]
+    assert terms[0]["monomial"][0]["exp"] == e
+
+
 def test_long_chains_evaluate_without_recursion():
     assert run_eval("+".join(["x"] * 3000), "text", 8) == (0, "3000*x")
     assert run_eval("-".join(["x"] * 3000), "text", 8) == (0, "-2998*x")

@@ -1,5 +1,6 @@
 """Composition with hyperlogarithms and with general series arguments."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from hyperlog import (HNotSmaller, IrrationalConstantPower, Logarithmicity,
                       hyperlog, hyperlog_deriv, invert, log_iter,
                       logarithmicity, make_monomial, mono_mul, mono_pow,
                       omega_pow, ord_add, ordinal, parse_ordinal,
-                      recursion_check, ser_add, ser_log, ser_mul,
+                      recursion_check, ser_add, ser_dominant, ser_log, ser_mul,
                       ser_mul_inverse, ser_scale, ser_sub, taylor_compose,
                       taylor_deform)
-from hyperlog.composition import up3
+from hyperlog.cli import eval_text
+from hyperlog.composition import _hyperlog_image, up3
+from hyperlog.render import format_value
 from hyperlog.series import S_ONE, S_ZERO
 
 from conftest import rand_composable, rand_series
@@ -50,6 +53,47 @@ def test_hyperlog_composition_folds_normal_form():
     # composing with l[2] = two steps of l[1]
     got = compose_hyperlog(LW, ordinal(2))
     assert eq_exact(got, ser_sub(LW, from_const(2)))
+
+
+# inputs with support below, at and above w^(b+1) for b = 0, 1, 2
+_NORMAL_FORM_INPUTS = [
+    "l[w]^2 + 3*l[1]", "prod(l[0..w])^-1*l[w+1]", "x*l[w]^-1 + O(l[w]^-3)",
+    "prod(l[w..w*2])^(1/2) + O(1)", "l[w^2]^3*l[w]^-1 - l[w^2+w]",
+    "prod(l[w^2..w^3])^-1 + O(l[w^2]^-2)", "l[w^3]*l[w^2]^2 + l[w^3+1]^-1",
+    "O(l[w^3]*l[w])",
+]
+
+
+@pytest.mark.parametrize("budget", [3, 5])
+def test_whole_normal_form_term_matches_the_n_fold_loop(budget):
+    # composing once with l[w^b*n] is composing n times with l[w^b]
+    prec = Precision(budget)
+    for text in _NORMAL_FORM_INPUTS:
+        f = eval_text(text)
+        for beta in (ZERO, ONE, ordinal(2)):
+            looped = f
+            for n in range(1, 5):
+                looped = compose_hyperlog_omega(looped, beta, prec)
+                got = compose_hyperlog_omega(f, beta, prec, n)
+                assert got == looped, (text, beta, n)
+
+
+def test_composition_with_a_huge_normal_form_coefficient_is_fast():
+    start = time.perf_counter()
+    got = format_value(eval_text("comp@2(l[w], l[w*100000000])"))
+    assert time.perf_counter() - start < 1
+    assert got == "l[w*100000001] + O(1)"
+
+
+def test_hyperlog_image_is_the_dominant_of_the_composition():
+    prec = Precision(4)
+    for text in ("l[w]", "prod(l[0..w])^-1", "l[w^2]*l[w]^-2*l[3]",
+                 "prod(l[w..w^2])^(1/2)", "x^2*l[w*2+1]^-1", "l[w^3]^-1"):
+        m = eval_text(text).terms[0][0]
+        for gamma in ("3", "w", "w*2+1", "w^2+w*3", "w^2*2", "w^3"):
+            gamma = parse_ordinal(gamma)
+            want = ser_dominant(compose_hyperlog(from_monomial(m), gamma, prec))
+            assert _hyperlog_image(m, gamma) == want[0], (text, gamma)
 
 
 def test_compose_matches_hyperlog_path():

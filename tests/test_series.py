@@ -19,11 +19,11 @@ from hyperlog import (DEFAULT_PRECISION, IndeterminateSplit, MONE, NonMonicLog,
                       ser_add, ser_compare_zero, ser_dominant, ser_log, ser_lt,
                       ser_mul, ser_mul_inverse, ser_neg, ser_parts, ser_pow,
                       ser_scale, ser_sub)
-from hyperlog.monomial import exponent_at
+from hyperlog.monomial import exponent_at, mono_max, mono_mul
 from hyperlog.series import (S_ONE, S_ZERO, rational_pow, truncated_sum,
                              with_bound)
 
-from conftest import rand_series
+from conftest import rand_finite_monomial, rand_series
 
 SX = sympy.Symbol("x", positive=True)
 ONE_ORD = ordinal(1)
@@ -252,6 +252,61 @@ def test_truncated_sum_closes_after_budget_terms():
     assert out.bound == mono_pow(X, -2)
     out = truncated_sum(geometric(), 1)
     assert out.terms == x_pow(0).terms and out.bound == MONE
+
+
+# --- floors --------------------------------------------------------------------
+
+@st.composite
+def floored_products(draw):
+    """Two operands, exact zeros and bounded ones included, and a floor that
+    is missing, above both dominants, a product monomial or a random one."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10**6)))
+
+    def operand():
+        if rng.random() < 0.15:
+            return S_ZERO
+        s = rand_series(rng)
+        if s.terms and rng.random() < 0.4:
+            s = with_bound(s, rng.choice(s.terms)[0])
+        return s
+
+    a, b = operand(), operand()
+    monos = [m for m, _ in a.terms + b.terms]
+    kind = draw(st.sampled_from(["none", "above", "product", "random"]))
+    if kind == "above" and a.terms and b.terms:
+        floor = mono_mul(mono_max(a.terms[0][0], b.terms[0][0]), X)
+    elif kind == "product" and a.terms and b.terms:
+        floor = mono_mul(rng.choice(a.terms)[0], rng.choice(b.terms)[0])
+    elif kind == "random" and monos:
+        floor = mono_mul(rng.choice(monos), rand_finite_monomial(rng))
+    else:
+        floor = None
+    return a, b, floor
+
+
+@settings(max_examples=80, deadline=None)
+@given(floored_products())
+def test_floored_product_is_the_product_weakened_by_the_floor(case):
+    a, b, floor = case
+    assert ser_mul(a, b, floor) == with_bound(ser_mul(a, b), floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6),
+       st.sampled_from([Fraction(0), Fraction(-1), Fraction(1, 2),
+                        Fraction(-3, 2), Fraction(2), Fraction(5)]),
+       st.integers(min_value=1, max_value=6))
+def test_floored_power_is_the_power_weakened_by_the_floor(seed, t, budget):
+    rng = random.Random(seed)
+    a = rand_series(rng)
+    if not a.terms or a.terms[0][1] < 0:
+        return
+    a = ser_scale(a, 1 / a.terms[0][1])
+    prec = Precision(budget)
+    full = ser_pow(a, t, prec)
+    monos = [m for m, _ in full.terms] + [mono_mul(full.terms[0][0], X)]
+    floor = mono_mul(rng.choice(monos), mono_pow(X, rng.randint(-2, 0)))
+    assert ser_pow(a, t, prec, floor) == with_bound(full, floor)
 
 
 # --- ring laws -------------------------------------------------------------------
