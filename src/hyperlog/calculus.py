@@ -18,27 +18,16 @@ from .ordinal import GT, ONE, Ordinal, ZERO, omega_pow, ord_add, ord_compare
 from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series,
                      _join_bounds, from_monomial, is_exact_zero, make_series,
                      ser_compare_zero, ser_dominant, ser_mul, ser_mul_inverse,
-                     ser_mul_mono, ser_neg, ser_sub, truncated_sum, with_bound)
+                     ser_mul_mono, ser_neg, ser_sub, support_sum, truncated_sum,
+                     with_bound)
 
 X_INV = mono_pow(hyperlog(ZERO), -1)
 
 
 @lru_cache(maxsize=None)
 def derive_monomial(m: Monomial, prec: Precision = DEFAULT_PRECISION) -> Series:
-    """Derivative of a single monomial; exact when the support enumeration ends."""
-    if not m.pieces:
-        return S_ZERO
-    terms = []
-    budget = prec.budget
-    for lo, hi, e in m.pieces:
-        beta = lo
-        while ord_compare(hi, beta) == GT:
-            if budget == 0:
-                return make_series(terms, terms[-1][0] if terms else None)
-            terms.append((mono_mul(m, hyperlog_dagger(beta)), e))
-            budget -= 1
-            beta = ord_add(beta, ONE)
-    return make_series(terms)
+    """Derivative of a monomial: r_b * m * dagger(l[b]) summed over its support."""
+    return support_sum(m, lambda b: mono_mul(m, hyperlog_dagger(b)), prec.budget)
 
 
 def derive(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:

@@ -15,16 +15,14 @@ from fractions import Fraction
 
 from .calculus import dagger as ser_dagger
 from .calculus import derive, integrate
-from .composition import (Logarithmicity, compose, invert, logarithmicity,
-                          taylor_compose)
-from .errors import DomainError, NestingTooDeep
+from .composition import compose, invert, logarithmicity, taylor_compose
+from .errors import DomainError, NestingTooDeep, NotPositive
 from .monomial import MONE, hyperlog, make_monomial
-from .ordinal import ZERO, parse_ordinal_sum
+from .ordinal import ZERO, format_frac, parse_int, parse_ordinal_sum
 from .render import format_value
 from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series, from_const,
-                     from_monomial, is_exact_zero, rational_pow, ser_add,
-                     ser_log, ser_mul, ser_mul_inverse, ser_neg, ser_pow,
-                     ser_sub, with_bound)
+                     from_monomial, is_exact_zero, ser_add, ser_log, ser_mul,
+                     ser_mul_inverse, ser_neg, ser_pow, ser_sub, with_bound)
 
 _TOKEN = re.compile(r"[ \t]*(\d+|[A-Za-z_]+|\.\.|[-+*/^()\[\],@])")
 
@@ -85,8 +83,12 @@ class Call:
     prec: int | None = None
 
 
-FUNCTIONS = {"D": 1, "int": 1, "log": 1, "comp": 2, "inv": 1,
-             "taylor": 3, "lambda": 1, "dagger": 1}
+# name -> (function of the series arguments and a Precision, arity)
+FUNCTIONS = {"D": (derive, 1), "int": (integrate, 1), "log": (ser_log, 1),
+             "comp": (compose, 2), "inv": (invert, 1),
+             "taylor": (taylor_compose, 3),
+             "lambda": (lambda g, prec: logarithmicity(g), 1),
+             "dagger": (ser_dagger, 1)}
 
 
 class Parser:
@@ -153,7 +155,7 @@ class Parser:
             raise CliSyntaxError("unexpected end of input at col %d"
                                  % (len(self.text) + 1))
         if tok.isdigit():
-            return Num(Fraction(int(self.take())))
+            return Num(Fraction(parse_int(self.take())))
         if tok == "(":
             self.take("(")
             node = self.expr()
@@ -200,9 +202,10 @@ class Parser:
                 self.take(",")
                 args.append(self.expr())
             self.take(")")
-            if len(args) != FUNCTIONS[name]:
+            arity = FUNCTIONS[name][1]
+            if len(args) != arity:
                 self.error("%s takes %d argument(s), got %d"
-                           % (name, FUNCTIONS[name], len(args)))
+                           % (name, arity, len(args)))
             return Call(name, tuple(args), prec)
         self.error("unexpected token %r" % tok)
 
@@ -251,8 +254,13 @@ def evaluate(node, prec: Precision = DEFAULT_PRECISION):
         if t is None:
             raise DomainError("exponent must be an exact rational constant")
         const = _as_const(left)
-        if const is not None:
-            return from_const(_const_pow(const, t))
+        if const is not None and t.denominator == 1:
+            if const == 0 and t < 0:
+                raise DomainError("division by zero")
+            return from_const(const ** t)
+        if const is not None and const <= 0:
+            raise NotPositive("cannot take a fractional power of %s"
+                              % format_frac(const))
         return ser_pow(left, t, prec)
     if isinstance(node, BinOp):
         # x+x+...+x parses to a left-deep tree: walk its left spine in a loop
@@ -271,39 +279,8 @@ def evaluate(node, prec: Precision = DEFAULT_PRECISION):
     if isinstance(node, Call):
         local = Precision(node.prec) if node.prec is not None else prec
         args = [evaluate(a, prec) for a in node.args]
-        if node.name == "D":
-            return derive(_as_series(args[0]), local)
-        if node.name == "int":
-            return integrate(_as_series(args[0]), local)
-        if node.name == "log":
-            return ser_log(_as_series(args[0]), local)
-        if node.name == "dagger":
-            return ser_dagger(_as_series(args[0]), local)
-        if node.name == "inv":
-            return invert(_as_series(args[0]), local)
-        if node.name == "lambda":
-            return logarithmicity(_as_series(args[0]))
-        if node.name == "comp":
-            return compose(_as_series(args[0]), _as_series(args[1]), local)
-        if node.name == "taylor":
-            return taylor_compose(_as_series(args[0]), _as_series(args[1]),
-                                  _as_series(args[2]), local)
-        raise AssertionError(node.name)
+        return FUNCTIONS[node.name][0](*map(_as_series, args), local)
     raise AssertionError(node)
-
-
-def _const_pow(c: Fraction, t: Fraction) -> Fraction:
-    if t.denominator == 1:
-        if c == 0 and t < 0:
-            raise DomainError("division by zero")
-        return c ** t
-    from .errors import IrrationalConstantPower, NotPositive
-    if c <= 0:
-        raise NotPositive("cannot take a fractional power of %s" % c)
-    out = rational_pow(c, t)
-    if out is None:
-        raise IrrationalConstantPower("%s**%s is irrational" % (c, t))
-    return out
 
 
 def eval_text(text: str, prec: Precision = DEFAULT_PRECISION):

@@ -30,17 +30,18 @@ from fractions import Fraction
 from itertools import count
 from math import factorial
 
-from .calculus import derive, derive_monomial, integrate
+from .calculus import derive, integrate, mod_derive
 from .errors import (HNotSmaller, IrrationalConstantPower, NotGreaterThanR,
                      NotInvertible, SupportBelowOmega, ZeroSeries)
 from .monomial import (MONE, Monomial, X, exponent_at, hyperlog,
                        hyperlog_deriv, make_monomial, mono_compare,
                        mono_min_support, mono_mul, mono_pow, mono_shift,
                        mono_split)
-from .ordinal import (GT, LT, OMEGA, ONE, Ordinal, ZERO, lambda_coeff,
-                      omega_pow, ord_add, ord_compare, ordinal, ordinal_to_int)
+from .ordinal import (GT, LT, OMEGA, ONE, Ordinal, ZERO, format_frac,
+                      lambda_coeff, omega_pow, ord_add, ord_compare, ordinal,
+                      ordinal_to_int)
 from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
-                     _dominant_monomial_or_bound, _join_bounds, from_const,
+                     _dominant_monomial_or_bound, from_const,
                      from_monomial, is_exact_zero, make_series, rational_pow,
                      ser_add, ser_dominant, ser_log, ser_mul, ser_neg, ser_pow,
                      ser_scale, ser_sub, truncated_sum, with_bound)
@@ -67,23 +68,6 @@ def logarithmicity(g: Series) -> Logarithmicity:
     return Logarithmicity(mono_min_support(m))
 
 
-def _mod_derive_high(t: Series, mu: Ordinal, prec: Precision) -> Series:
-    """Modified derivation on series supported at or above mu.
-
-    On that subspace the operator has infinitesimal support, so content hidden
-    below the input bound stays hidden below the same bound.
-    """
-    inv = mono_pow(hyperlog_deriv(mu), -1)
-    terms = []
-    bound = t.bound
-    for m, c in t.terms:
-        d = derive_monomial(m, prec)
-        terms.extend((mono_mul(dm, inv), dc * c) for dm, dc in d.terms)
-        if d.bound is not None:
-            bound = _join_bounds(bound, mono_mul(d.bound, inv))
-    return make_series(terms, bound)
-
-
 def _exp_neg_mod_derive(m: Monomial, mu: Ordinal, n: int,
                         prec: Precision) -> Series:
     """Apply the exponential of n times the negated modified derivation."""
@@ -91,7 +75,10 @@ def _exp_neg_mod_derive(m: Monomial, mu: Ordinal, n: int,
         t = from_monomial(m)
         for k in count(1):
             yield t
-            t = ser_scale(_mod_derive_high(t, mu, prec), Fraction(-n, k))
+            # supported at or above mu, the operator has infinitesimal
+            # support, so content below t's bound stays below that bound
+            t = ser_scale(with_bound(mod_derive(Series(t.terms), mu, prec),
+                                     t.bound), Fraction(-n, k))
 
     return truncated_sum(terms(), prec.budget)
 
@@ -154,8 +141,6 @@ class LogTower:
         self.levels = [g]
         self.lam = logarithmicity(g).value  # finite since the dominant exceeds 1
         self._pows = {}
-        self._monos = {}
-        self._doms = {}
 
     def log(self, n: int) -> Series:
         while len(self.levels) <= n:
@@ -174,24 +159,37 @@ def log_iter(g: Series, n: int, prec: Precision = DEFAULT_PRECISION) -> Series:
     return LogTower(g, prec).log(n)
 
 
-def _compose_monomial_tower(m: Monomial, tower: LogTower,
-                            prec: Precision) -> Series:
+def _tower_walk(m: Monomial, tower: LogTower):
+    """The factors of m composed with the tower's base g, from m's support.
+
+    Returns (factors, cut, tail).  Each (n, r) in factors stands for
+    log_n(g)^r.  An infinite [n, omega) piece stops its explicit factors at
+    level cut and leaves the tail monomial of l[lam + b]^r over cut <= b <
+    omega; without such a piece, cut and tail are None.
+    """
+    factors = []
+    cut = tail = None
+    for lo, hi, r in m.pieces:
+        if ord_compare(hi, OMEGA) == GT:
+            raise ValueError("monomial support reaches beyond the finite levels")
+        start = ordinal_to_int(lo)
+        if hi == OMEGA:
+            cut = stop = start + tower.prec.budget
+            tail = make_monomial([(ord_add(tower.lam, ordinal(cut)),
+                                   ord_add(tower.lam, OMEGA), r)])
+        else:
+            stop = ordinal_to_int(hi)
+        factors.extend((n, r) for n in range(start, stop))
+    return factors, cut, tail
+
+
+def _compose_monomial_tower(m: Monomial, tower: LogTower) -> Series:
     """Compose a monomial with support below the first limit level."""
-    if m == MONE:
-        return S_ONE
-    if m in tower._monos:
-        return tower._monos[m]
-    lam = tower.lam
-    lo, hi, r = m.pieces[-1]
-    if ord_compare(hi, OMEGA) == GT:
-        raise ValueError("monomial support reaches beyond the finite levels")
+    factors, cut, tail = _tower_walk(m, tower)
     factor = rel = None
-    if hi == OMEGA:
+    if tail is not None:
         # infinite tail: explicit factors, then the exact remainder monomial
-        cut = ordinal_to_int(lo) + prec.budget
-        tail = make_monomial([(ord_add(lam, ordinal(cut)),
-                               ord_add(lam, OMEGA), r)])
-        eps = ser_sub(tower.log(cut), from_monomial(hyperlog(ord_add(lam, ordinal(cut)))))
+        eps = ser_sub(tower.log(cut), from_monomial(hyperlog(mono_min_support(tail))))
         if is_exact_zero(eps):
             factor = from_monomial(tail)
         else:
@@ -200,28 +198,24 @@ def _compose_monomial_tower(m: Monomial, tower: LogTower,
             if mono_compare(rel, MONE) != LT:
                 rel = None
     result = S_ONE
-    for lo, hi, r in m.pieces:
-        start = ordinal_to_int(lo)
-        stop = start + prec.budget if hi == OMEGA else ordinal_to_int(hi)
-        for n in range(start, stop):
-            if rel is None:
-                result = ser_mul(result, tower.log_pow(n, r))
-            else:
-                # the tail factor's bound cuts the product at its dominant * rel
-                dom = mono_pow(ser_dominant(tower.log(n))[0], r)
-                floor = mono_mul(mono_mul(result.terms[0][0], dom), rel)
-                result = ser_mul(result, tower.log_pow(n, r, mono_mul(dom, rel)),
-                                 floor)
+    for n, r in factors:
+        if rel is None:
+            result = ser_mul(result, tower.log_pow(n, r))
+        else:
+            # the tail factor's bound cuts the product at its dominant * rel
+            dom = mono_pow(ser_dominant(tower.log(n))[0], r)
+            floor = mono_mul(mono_mul(result.terms[0][0], dom), rel)
+            result = ser_mul(result, tower.log_pow(n, r, mono_mul(dom, rel)),
+                             floor)
     if factor is not None:
         result = ser_mul(result, factor)
-    tower._monos[m] = result
     return result
 
 
 def compose_monomial(m: Monomial, g: Series,
                      prec: Precision = DEFAULT_PRECISION) -> Series:
     """Compose a finite-level monomial with a series above the rationals."""
-    return _compose_monomial_tower(m, LogTower(g, prec), prec)
+    return _compose_monomial_tower(m, LogTower(g, prec))
 
 
 def up3(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
@@ -296,33 +290,16 @@ def taylor_deform(phi: Series, g: Series,
     return _taylor_deform_tower(phi, LogTower(g, prec), prec)
 
 
-def _compose_big_tower(f: Series, tower: LogTower, prec: Precision) -> Series:
-    """Compose a series supported at or above the first limit level with g."""
-    return _taylor_deform_tower(up3(f, prec), tower, prec)
-
-
 def _dominant_image(m: Monomial, tower: LogTower) -> Monomial:
     """Dominant monomial of the composition of m with the tower's base.
 
     The dominant of a product is the product of the dominants, so this is
     exact and much cheaper than composing.
     """
-    if m in tower._doms:
-        return tower._doms[m]
-    out = MONE
-    lam = tower.lam
-    for lo, hi, r in m.pieces:
-        start = ordinal_to_int(lo)
-        if hi == OMEGA:
-            cut = start + tower.prec.budget
-            stop = cut
-            out = mono_mul(out, make_monomial([(ord_add(lam, ordinal(cut)),
-                                                ord_add(lam, OMEGA), r)]))
-        else:
-            stop = ordinal_to_int(hi)
-        for n in range(start, stop):
-            out = mono_mul(out, mono_pow(ser_dominant(tower.log(n))[0], r))
-    tower._doms[m] = out
+    factors, _, tail = _tower_walk(m, tower)
+    out = tail or MONE
+    for n, r in factors:
+        out = mono_mul(out, mono_pow(ser_dominant(tower.log(n))[0], r))
     return out
 
 
@@ -346,8 +323,8 @@ def _compose_tower(f: Series, tower: LogTower, prec: Precision) -> Series:
         if len(big.terms) == 1 and big.terms[0][0] == MONE:
             bigval = from_const(big.terms[0][1])
         else:
-            bigval = _compose_big_tower(big, tower, prec)
-        lowval = _compose_monomial_tower(low, tower, prec)
+            bigval = _taylor_deform_tower(up3(big, prec), tower, prec)
+        lowval = _compose_monomial_tower(low, tower)
         out = ser_add(out, ser_mul(bigval, lowval))
     if f.bound is not None:
         image = _compose_tower(from_monomial(f.bound), tower, prec)
@@ -382,10 +359,12 @@ def taylor_compose(f: Series, g: Series, h: Series,
             pruned = False
             if pre is not None and len(dn.terms) > 8 and hpow.terms:
                 # drop derivative terms whose whole contribution falls below
-                # the predicted final bound; the bound attached to t covers them
+                # the predicted final bound; the bound attached to t covers
+                # them.  A term with support at or above omega is kept.
                 floor = mono_mul(pre, mono_pow(hpow.terms[0][0], -1))
                 kept = tuple((m, c) for m, c in dn.terms
-                             if mono_compare(_dominant_image(m, tower), floor) != LT)
+                             if m.pieces and m.pieces[-1][1] > OMEGA
+                             or mono_compare(_dominant_image(m, tower), floor) != LT)
                 pruned = len(kept) < len(dn.terms)
                 dn = Series(kept, dn.bound)
                 if not kept and dn.bound is None:
@@ -406,10 +385,6 @@ def taylor_compose(f: Series, g: Series, h: Series,
     return truncated_sum(terms(), prec.budget)
 
 
-def _same(v):
-    return v
-
-
 def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Compositional inverse of g; needs logarithmicity zero."""
     _check_above_rationals(g)
@@ -420,7 +395,8 @@ def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     b = exponent_at(m0, ZERO)
     s = rational_pow(a, Fraction(-1) / b) if a != 1 else Fraction(1)
     if s is None:
-        raise IrrationalConstantPower("leading coefficient %s has no rational root" % a)
+        raise IrrationalConstantPower("leading coefficient %s has no rational root"
+                                      % format_frac(a))
     t = Fraction(1) / b
     g1 = ser_pow(ser_scale(g, Fraction(1) / a), Fraction(1) / b, prec)
 
@@ -439,7 +415,7 @@ def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     delta = None
     for _ in range(prec.budget):
         # w at x + e, by the Taylor sum around the identity
-        e_new = ser_neg(_taylor_sum(w, e, _same, _same, prec))
+        e_new = ser_neg(_taylor_sum(w, e, lambda v: v, lambda m: m, prec))
         delta = ser_sub(e_new, e)
         e = e_new
         if is_exact_zero(delta):

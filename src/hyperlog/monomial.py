@@ -70,7 +70,6 @@ def make_monomial(pieces) -> Monomial:
     return Monomial(tuple(merged))
 
 
-@lru_cache(maxsize=None)
 def exponent_at(m: Monomial, beta: Ordinal) -> Fraction:
     """The exponent of l[beta] in m."""
     for lo, hi, e in m.pieces:
@@ -166,6 +165,18 @@ def mono_min_support(a: Monomial) -> Ordinal:
     if not a.pieces:
         raise IdentityMonomial("the identity monomial has empty support")
     return a.pieces[0][0]
+
+
+def support_levels(a: Monomial):
+    """Yield (level, exponent) over every level of a's support, ascending.
+
+    A piece with an infinite interval yields without end, so take lazily.
+    """
+    for lo, hi, e in a.pieces:
+        beta = lo
+        while ord_compare(beta, hi) == LT:
+            yield beta, e
+            beta = ord_add(beta, ONE)
 
 
 def mono_split(a: Monomial, beta: Ordinal):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 LT, EQ, GT = -1, 0, 1
@@ -103,10 +104,6 @@ def ord_compare(a: Ordinal, b: Ordinal) -> int:
     if len(a.terms) != len(b.terms):
         return LT if len(a.terms) < len(b.terms) else GT
     return EQ
-
-
-def ord_max(a: Ordinal, b: Ordinal) -> Ordinal:
-    return b if ord_compare(a, b) == LT else a
 
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -213,6 +210,25 @@ def format_int(n: int) -> str:
     return format_int(high) + format_int(low).zfill(half)
 
 
+def format_frac(c: Fraction) -> str:
+    """str(c), exact for numerators and denominators of any size."""
+    if c.denominator == 1:
+        return format_int(c.numerator)
+    return "%s/%s" % (format_int(c.numerator), format_int(c.denominator))
+
+
+def parse_int(digits: str) -> int:
+    """The integer of a decimal digit string of any length.
+
+    int() refuses strings longer than sys.get_int_max_str_digits() digits;
+    longer strings are split into halves that are parsed the same way.
+    """
+    if len(digits) <= 600:
+        return int(digits)
+    half = len(digits) // 2
+    return parse_int(digits[:-half]) * 10 ** half + parse_int(digits[-half:])
+
+
 def format_ordinal(a: Ordinal) -> str:
     if not a.terms:
         return "0"
@@ -245,7 +261,7 @@ def parse_ordinal_sum(p) -> Ordinal:
 def _parse_item(p) -> Ordinal:
     tok = p.peek()
     if tok is not None and tok.isdigit():
-        return ordinal(int(p.take()))
+        return ordinal(parse_int(p.take()))
     if tok != "w":
         p.error("expected an ordinal")
     exp = _parse_exponent(p)
@@ -255,7 +271,7 @@ def _parse_item(p) -> Ordinal:
         digits = p.take()
         if not digits.isdigit():
             p.error("expected a coefficient after *")
-        coeff = int(digits)
+        coeff = parse_int(digits)
     # w^e*n is the single normal-form term (e, n)
     return Ordinal(((exp, coeff),)) if coeff else ZERO
 
@@ -275,7 +291,7 @@ def _parse_exponent(p) -> Ordinal:
     if tok == "w":
         return omega_pow(_parse_exponent(p))
     if tok is not None and tok.isdigit():
-        return ordinal(int(p.take()))
+        return ordinal(parse_int(p.take()))
     p.error("expected an exponent after ^")
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .composition import Logarithmicity
 from .monomial import MONE, Monomial, make_monomial
-from .ordinal import (ONE, Ordinal, ZERO, format_int, format_ordinal,
-                      ord_add, parse_ordinal)
+from .ordinal import (ONE, Ordinal, ZERO, format_frac, format_int,
+                      format_ordinal, ord_add, parse_ordinal)
 from .series import Series, make_series
 
 SCHEMA = "hyperlog/1"
@@ -21,19 +21,12 @@ SCHEMA = "hyperlog/1"
 
 # --- text --------------------------------------------------------------------
 
-def _frac_text(c: Fraction) -> str:
-    """str(c), exact for numerators and denominators of any size."""
-    if c.denominator == 1:
-        return format_int(c.numerator)
-    return "%s/%s" % (format_int(c.numerator), format_int(c.denominator))
-
-
 def _exp_text(e: Fraction) -> str:
     if e == 1:
         return ""
     if e.denominator == 1:
-        return "^" + _frac_text(e)
-    return "^(%s)" % _frac_text(e)
+        return "^" + format_frac(e)
+    return "^(%s)" % format_frac(e)
 
 
 def _atom_text(lo: Ordinal) -> str:
@@ -55,12 +48,12 @@ def format_monomial_text(m: Monomial) -> str:
 
 def _term_text(m: Monomial, c: Fraction) -> str:
     if m == MONE:
-        return _frac_text(c)
+        return format_frac(c)
     if c == 1:
         return format_monomial_text(m)
     if c == -1:
         return "-" + format_monomial_text(m)
-    return "%s*%s" % (_frac_text(c), format_monomial_text(m))
+    return "%s*%s" % (format_frac(c), format_monomial_text(m))
 
 
 def format_series_text(s: Series) -> str:
@@ -107,7 +100,7 @@ def _frac_latex(c: Fraction) -> str:
 def _exp_latex(e: Fraction) -> str:
     if e == 1:
         return ""
-    return "^{%s}" % _frac_text(e)
+    return "^{%s}" % format_frac(e)
 
 
 def format_monomial_latex(m: Monomial) -> str:
@@ -150,14 +143,14 @@ def format_series_latex(s: Series) -> str:
 
 def monomial_to_json(m: Monomial) -> list:
     return [{"from": format_ordinal(lo), "to": format_ordinal(hi),
-             "exp": _frac_text(e)} for lo, hi, e in m.pieces]
+             "exp": format_frac(e)} for lo, hi, e in m.pieces]
 
 
 def series_to_json(s: Series) -> dict:
     return {
         "schema": SCHEMA,
         "kind": "series",
-        "terms": [{"monomial": monomial_to_json(m), "coeff": _frac_text(c)}
+        "terms": [{"monomial": monomial_to_json(m), "coeff": format_frac(c)}
                   for m, c in s.terms],
         "bound": monomial_to_json(s.bound) if s.bound is not None else None,
     }

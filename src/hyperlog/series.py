@@ -6,9 +6,14 @@ plus a remainder every monomial of which is strictly below the bound.  Listed
 monomials are at or above the bound, so every listed coefficient is exact.
 Without a bound the series is the listed sum, exactly.
 
-Every expansion (inverse, logarithm, power, integration, composition) is an
-infinite sum of terms with strictly decreasing dominants, and truncated_sum
-is the one place where such an expansion's O(...) is set.
+Two rules set a truncation bound, and each job has one of them.  Every
+expansion (inverse, logarithm, power, integration, composition) is an
+infinite sum of terms with strictly decreasing dominants: truncated_sum
+closes it after budget terms with O(the last term), since nothing says
+where such a sum ends.  A support walk (derivative and logarithm of a
+monomial) emits one term per level of the monomial's support: support_sum
+looks one level ahead, so a support of exactly budget levels stays exact
+and only a longer one is closed with O(the last term).
 
 Floors.  A floor is a bound monomial that the caller attaches to the result
 anyway, known in advance from dominant monomials alone.  An operation given
@@ -21,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import count
+from itertools import count, islice
 
 from .errors import (IndeterminateDominant, IndeterminateSign,
                      IndeterminateSplit, IrrationalConstantPower, NonMonicLog,
                      NotPositive, ZeroSeries)
-from .monomial import (LT, EQ, GT, MONE, Monomial, mono_compare, mono_max,
-                       mono_mul, mono_pow)
+from .monomial import (LT, EQ, GT, MONE, Monomial, hyperlog, mono_compare,
+                       mono_max, mono_mul, mono_pow, support_levels)
+from .ordinal import ONE, format_frac, ord_add
 
 NEG, ZEROSIGN, POS = -1, 0, 1
 
@@ -246,32 +252,27 @@ def ser_mul_inverse(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
                         mono_pow(m, -1), Fraction(1) / c)
 
 
-def log_monomial(m: Monomial, prec: Precision = DEFAULT_PRECISION) -> Series:
-    """The logarithm of a monomial: sum of r_b * l[b+1] over the support.
+def support_sum(m: Monomial, term, budget: int) -> Series:
+    """Sum r * term(b) over the support levels b of m, exponent r at b.
 
-    Emitted in descending monomial order (ascending level); infinite interval
-    pieces are truncated with a bound.
+    term must map ascending levels to descending monomials.  The first budget
+    levels give the terms; if m has a level beyond them, the sum is closed
+    with O(the last term), which bounds every term left out.
     """
-    from .monomial import hyperlog
-    from .ordinal import ONE, ord_add, ord_compare, GT as OGT
+    levels = list(islice(support_levels(m), budget + 1))
+    terms = [(term(b), r) for b, r in levels[:budget]]
+    return make_series(terms, terms[-1][0] if len(levels) > budget else None)
 
-    terms = []
-    budget = prec.budget
-    for lo, hi, e in m.pieces:
-        beta = lo
-        while ord_compare(hi, beta) == OGT:
-            if budget == 0:
-                return make_series(terms, terms[-1][0] if terms else None)
-            terms.append((hyperlog(ord_add(beta, ONE)), e))
-            budget -= 1
-            beta = ord_add(beta, ONE)
-    return make_series(terms)
+
+def log_monomial(m: Monomial, prec: Precision = DEFAULT_PRECISION) -> Series:
+    """The logarithm of a monomial: sum of r_b * l[b+1] over the support."""
+    return support_sum(m, lambda b: hyperlog(ord_add(b, ONE)), prec.budget)
 
 
 def _check_positive_leading(a: Series):
     m, c = ser_dominant(a)
     if c < 0:
-        raise NotPositive("leading coefficient %s is negative" % c)
+        raise NotPositive("leading coefficient %s is negative" % format_frac(c))
     return m, c
 
 
@@ -279,7 +280,7 @@ def ser_log(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Logarithm of a positive series with leading coefficient 1."""
     m, c = _check_positive_leading(a)
     if c != 1:
-        raise NonMonicLog("leading coefficient %s is not 1" % c)
+        raise NonMonicLog("leading coefficient %s is not 1" % format_frac(c))
     _, _, eps = _split_dominant(a)
     out = log_monomial(m, prec)
     if is_exact_zero(eps):
@@ -332,7 +333,8 @@ def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION,
     m, c = _check_positive_leading(a)
     ct = rational_pow(c, t)
     if ct is None:
-        raise IrrationalConstantPower("%s**%s is irrational" % (c, t))
+        raise IrrationalConstantPower("%s**%s is irrational"
+                                      % (format_frac(c), format_frac(t)))
     _, _, eps = _split_dominant(a)
     if is_exact_zero(eps):
         return with_bound(from_monomial(mono_pow(m, t), ct), floor)

@@ -127,6 +127,31 @@ def test_big_integers_render_exactly_in_every_format():
     assert terms[0]["monomial"][0]["exp"] == e
 
 
+def test_huge_constants_in_error_messages_are_exact():
+    big = _decimal(2**20000 + 1)
+    cases = [
+        ("(2^20000+1)^(1/2)", "IrrationalConstantPower: %s**1/2 is irrational"),
+        ("((2^20000+1)*x)^(1/2)",
+         "IrrationalConstantPower: %s**1/2 is irrational"),
+        ("log((2^20000+1)*x)", "NonMonicLog: leading coefficient %s is not 1"),
+        ("log(-(2^20000+1)*x)",
+         "NotPositive: leading coefficient -%s is negative"),
+        ("(-(2^20000+1))^(1/2)",
+         "NotPositive: cannot take a fractional power of -%s"),
+        ("inv((2^20000+1)*x^2 + 1)",
+         "IrrationalConstantPower: leading coefficient %s has no rational root"),
+    ]
+    for expr, message in cases:
+        assert run_eval(expr, "text", 8) == (1, "error: " + message % big), expr
+
+
+def test_literals_past_the_str_digit_limit_parse_exactly():
+    digits = _decimal(7 * 10**4999 + 12345)  # 5000 digits
+    for expr in (digits, "x^" + digits, "l[%s]" % digits,
+                 "l[w^%s*%s+%s]" % (digits, digits, digits)):
+        assert run_eval(expr, "text", 8) == (0, expr)
+
+
 def test_long_chains_evaluate_without_recursion():
     assert run_eval("+".join(["x"] * 3000), "text", 8) == (0, "3000*x")
     assert run_eval("-".join(["x"] * 3000), "text", 8) == (0, "-2998*x")

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperlog import (HNotSmaller, IrrationalConstantPower, Logarithmicity,
                       MONE, NotGreaterThanR, NotInvertible, OMEGA, ONE,
@@ -17,7 +19,8 @@ from hyperlog import (HNotSmaller, IrrationalConstantPower, Logarithmicity,
                       ser_mul_inverse, ser_scale, ser_sub, taylor_compose,
                       taylor_deform)
 from hyperlog.cli import eval_text
-from hyperlog.composition import _hyperlog_image, up3
+from hyperlog.composition import (LogTower, _compose_monomial_tower,
+                                  _dominant_image, _hyperlog_image, up3)
 from hyperlog.render import format_value
 from hyperlog.series import S_ONE, S_ZERO
 
@@ -94,6 +97,35 @@ def test_hyperlog_image_is_the_dominant_of_the_composition():
             gamma = parse_ordinal(gamma)
             want = ser_dominant(compose_hyperlog(from_monomial(m), gamma, prec))
             assert _hyperlog_image(m, gamma) == want[0], (text, gamma)
+
+
+@st.composite
+def tower_monomials(draw):
+    """A finite-level monomial that may end in an infinite [n, w) piece."""
+    exps = st.sampled_from([Fraction(k, 2) for k in (-4, -2, -1, 1, 2, 4)])
+    pieces = []
+    level = draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        width = draw(st.integers(1, 2))
+        pieces.append((ordinal(level), ordinal(level + width), draw(exps)))
+        level += width + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        pieces.append((ordinal(level), OMEGA, draw(exps)))
+    return make_monomial(pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tower_monomials(),
+       st.sampled_from(["x + 1", "x + l[1] + 1", "x + 3/2 + 1/2*l[1]^-1",
+                        "x + O(1)", "l[1] + 2", "x*l[1]"]),
+       st.integers(1, 5))
+def test_dominant_image_is_the_dominant_of_the_tower_composition(m, g, budget):
+    tower = LogTower(eval_text(g), Precision(budget))
+    image = _compose_monomial_tower(m, tower)
+    # where the bound of an infinite tail hides every term, there is no
+    # dominant to compare
+    assume(image.terms)
+    assert _dominant_image(m, tower) == ser_dominant(image)[0]
 
 
 def test_compose_matches_hyperlog_path():
@@ -207,6 +239,18 @@ def test_taylor_zero_increment_is_composition():
 def test_taylor_increment_must_be_smaller():
     with pytest.raises(HNotSmaller):
         taylor_compose(X_SER, L1, X_SER)
+
+
+@pytest.mark.parametrize("lead, h", [("l[w]", "1"), ("l[w+1]", "1"),
+                                     ("l[w]", "l[1]")])
+def test_taylor_keeps_terms_with_support_past_the_finite_levels(lead, h):
+    # ten terms make the derivatives long enough to be pruned
+    f = eval_text(lead + "*x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2"
+                  " + x + l[1]")
+    h = eval_text(h)
+    prec = Precision(8)
+    assert eq_to_bound(taylor_compose(f, X_SER, h, prec),
+                       compose(f, ser_add(X_SER, h), prec))
 
 
 def test_taylor_matches_composition(rng):

@@ -13,15 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperlog import (DEFAULT_PRECISION, IndeterminateSplit, MONE, NonMonicLog,
-                      NotPositive, Precision, Series, X, ZERO, ZeroSeries,
-                      eq_exact, eq_to_bound, from_const, from_monomial,
-                      hyperlog, is_exact_zero, make_series, mono_pow, ordinal,
+                      NotPositive, OMEGA, ONE, Precision, Series, X, ZERO,
+                      ZeroSeries, eq_exact, eq_to_bound, from_const,
+                      from_monomial, hyperlog, is_exact_zero, make_monomial,
+                      make_series, mono_pow, ord_add, ordinal,
                       ser_add, ser_compare_zero, ser_dominant, ser_log, ser_lt,
                       ser_mul, ser_mul_inverse, ser_neg, ser_parts, ser_pow,
                       ser_scale, ser_sub)
 from hyperlog.monomial import exponent_at, mono_max, mono_mul
-from hyperlog.series import (S_ONE, S_ZERO, rational_pow, truncated_sum,
-                             with_bound)
+from hyperlog.series import (S_ONE, S_ZERO, rational_pow, support_sum,
+                             truncated_sum, with_bound)
 
 from conftest import rand_finite_monomial, rand_series
 
@@ -252,6 +253,34 @@ def test_truncated_sum_closes_after_budget_terms():
     assert out.bound == mono_pow(X, -2)
     out = truncated_sum(geometric(), 1)
     assert out.terms == x_pow(0).terms and out.bound == MONE
+
+
+# --- support walks -------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", range(1, 7))
+def test_support_sum_is_exact_at_budget_levels_and_bounded_past_them(budget):
+    def term(b):  # the logarithm's term for level b
+        return hyperlog(ord_add(b, ONE))
+
+    n = ordinal(budget)
+    above_w = ord_add(OMEGA, n)
+    split = [(ZERO, ONE, 1)] + ([(OMEGA, ord_add(OMEGA, ordinal(budget - 1)),
+                                  -1)] if budget > 1 else [])
+    exact = [[(ZERO, n, 1)], [(OMEGA, above_w, 2)], split]
+    longer = [[(ZERO, ord_add(n, ONE), 1)], [(ordinal(3), OMEGA, -1)],
+              [(ZERO, ONE, 1), (OMEGA, above_w, 1)],
+              [(OMEGA, ord_add(OMEGA, OMEGA), 1)]]
+    for pieces in exact:
+        out = support_sum(make_monomial(pieces), term, budget)
+        assert out.bound is None and len(out.terms) == budget, pieces
+    for pieces in longer:
+        out = support_sum(make_monomial(pieces), term, budget)
+        assert len(out.terms) == budget, pieces
+        assert out.bound == out.terms[-1][0], pieces
+    out = support_sum(make_monomial([(ZERO, n, 1)]), term, budget)
+    assert out.terms == tuple((hyperlog(ordinal(k)), 1)
+                              for k in range(1, budget + 1))
+    assert eq_exact(support_sum(MONE, term, budget), S_ZERO)
 
 
 # --- floors --------------------------------------------------------------------
