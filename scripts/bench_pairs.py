@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare two revisions on one benchmark workload in alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload expand \\
+        --pairs 10 --seeds 241 242 243 [--trace 0|1]
+
+Both revisions are checked out with ``git worktree`` under a temporary
+directory, which is removed afterwards.  Pair i runs ``bench/run.py`` of
+both checkouts at seed ``seeds[i % len(seeds)]``; the side that runs first
+alternates from pair to pair, so a drift of the host's speed hits both sides
+alike.  The last line of every run must be strict JSON (no NaN or Infinity)
+holding every metric that BENCHMARK.json lists for the mode: the end-to-end
+ones, or with ``--trace 1`` the per-layer ones, which is all such a run
+prints.  The script prints, for each metric, each side's median and
+quartiles and the number of pairs the change won, then every run's
+``correct`` flag and ``failed`` count.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def _git(*args, cwd=None):
+    return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
+                          stdout=subprocess.PIPE).stdout.strip()
+
+
+def _reject_constant(name):
+    raise ValueError("non-finite number %s in the result line" % name)
+
+
+def run_once(root, workload, seed, trace, names):
+    """One bench/run.py in the checkout root; returns its parsed result."""
+    cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload",
+           workload, "--seed", str(seed), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=root, check=True, text=True,
+                         stdout=subprocess.PIPE).stdout
+    lines = out.strip().splitlines()
+    if not lines:
+        raise ValueError("%s printed nothing" % root)
+    result = json.loads(lines[-1], parse_constant=_reject_constant)
+    missing = [n for n in names if n not in result.get("metrics", {})]
+    if missing:
+        raise ValueError("%s: missing metrics %s" % (root, ", ".join(missing)))
+    return result
+
+
+def _quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", help="the revision to compare against")
+    parser.add_argument("change", help="the revision under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args()
+
+    top = _git("rev-parse", "--show-toplevel")
+    revs = [_git("rev-parse", "--verify", r + "^{commit}", cwd=top)
+            for r in (args.parent, args.change)]
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        roots = [os.path.join(tmp, side) for side in ("parent", "change")]
+        try:
+            for root, rev in zip(roots, revs):
+                _git("worktree", "add", "--detach", root, rev, cwd=top)
+            with open(os.path.join(roots[1], "BENCHMARK.json")) as handle:
+                spec = json.load(handle)
+            metrics = spec["per_layer" if args.trace else "end_to_end"]
+            names = [m["name"] for m in metrics]
+            results = ([], [])
+            for i in range(args.pairs):
+                seed = args.seeds[i % len(args.seeds)]
+                order = (0, 1) if i % 2 == 0 else (1, 0)
+                for side in order:
+                    results[side].append(run_once(
+                        roots[side], args.workload, seed, args.trace,
+                        names))
+                print("pair %d (seed %d) done" % (i + 1, seed), file=sys.stderr)
+        finally:
+            for root in roots:
+                if os.path.isdir(root):
+                    _git("worktree", "remove", "--force", root, cwd=top)
+            _git("worktree", "prune", cwd=top)
+
+    print("%s: %s -> %s, %d pairs, seeds %s" % (
+        args.workload, args.parent, args.change, args.pairs,
+        " ".join(map(str, args.seeds))))
+    print("%-36s %-30s %-30s %s" % ("metric", "parent median (q1-q3)",
+                                    "change median (q1-q3)", "change wins"))
+    for metric in metrics:
+        name = metric["name"]
+        sides = [[r["metrics"][name]["value"] for r in results[s]]
+                 for s in (0, 1)]
+        higher = metric["better"] == "higher"
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(*sides))
+        cells = ["%.4g (%.4g-%.4g)" % (q2, q1, q3)
+                 for q1, q2, q3 in map(_quartiles, sides)]
+        print("%-36s %-30s %-30s %d/%d" % (name, cells[0], cells[1], wins,
+                                            args.pairs))
+    for side, label in enumerate(("parent", "change")):
+        print("%s correct/failed: %s" % (label, " ".join(
+            "%s/%s/%s" % (r["correct"], r["failed"], r["attempted"])
+            for r in results[side])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,7 @@ from .composition import (Logarithmicity, LogTower, compose, compose_hyperlog,
                           compose_hyperlog_omega, compose_monomial, invert,
                           log_iter, logarithmicity, recursion_check,
                           taylor_compose, taylor_deform, up3)
-from .errors import (DomainError, EmptyInterval, HNotSmaller,
+from .errors import (BadPrecision, DomainError, EmptyInterval, HNotSmaller,
                      IdentityMonomial, IndeterminateDominant,
                      IndeterminateSign, IndeterminateSplit,
                      IrrationalConstantPower, NestingTooDeep, NonMonicLog,

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .calculus import dagger as ser_dagger
 from .calculus import derive, integrate
 from .composition import compose, invert, logarithmicity, taylor_compose
-from .errors import DomainError, NestingTooDeep, NotPositive
+from .errors import BadPrecision, DomainError, NestingTooDeep, NotPositive
 from .monomial import MONE, hyperlog, make_monomial
 from .ordinal import ZERO, format_frac, parse_int, parse_ordinal_sum
 from .render import format_value
@@ -329,7 +329,10 @@ def main(argv=None) -> int:
     parser.add_argument("--script", metavar="FILE",
                         help="evaluate a file of expressions, one per line")
     args = parser.parse_args(argv)
-    prec = Precision(args.prec)
+    try:
+        prec = Precision(args.prec)
+    except BadPrecision as err:
+        parser.error("--prec: %s" % err)
     if args.eval is not None:
         ok = _run_line(args.eval, prec, args.format, sys.stdout)
         return 0 if ok else 1

@@ -17,6 +17,10 @@ class EmptyInterval(DomainError, ValueError):
     """An interval of levels [lo, hi) with hi not above lo."""
 
 
+class BadPrecision(DomainError, ValueError):
+    """A term budget below 1."""
+
+
 class ZeroSeries(DomainError):
     """The exact zero series has no dominant term."""
 

@@ -4,6 +4,14 @@ A monomial is a formal product of level-indexed logarithms l[b]^r where the
 exponent, as a function of the ordinal level b, is constant on finitely many
 half-open ordinal intervals and zero elsewhere.  Infinite-support values such
 as the exact derivative monomials of the hyperlogarithms are first-class.
+
+Each monomial caches a key, a plain tuple whose order is the monomial order,
+so sorting and comparing never call back into Python.  The key walks the
+levels p where the exponent map changes, by d, drops back to 0 included:
+(1, rev(p.key), d) if d > 0, (-1, p.key, d) if d < 0, closed by (0,); rev
+reverses the order of ordinal keys.  At the first change where two keys
+differ, the map that is larger just there wins: the sign of d decides first,
+then an earlier p wins when d > 0 and loses when d < 0, then d decides.
 """
 from __future__ import annotations
 
@@ -46,6 +54,28 @@ class Monomial:
             object.__setattr__(self, "_hash", hash(self.pieces))
             return self._hash
 
+    @property
+    def key(self):
+        """A plain tuple whose order is the monomial order (module docstring)."""
+        try:
+            return self._key
+        except AttributeError:
+            changes = []  # (level, change of the exponent there), ascending
+            for lo, hi, e in self.pieces:
+                d = e + changes.pop()[1] if changes and changes[-1][0] is lo else e
+                changes += [(lo, d), (hi, -e)]
+            key = []
+            for p, d in changes:
+                d = d.numerator if d.denominator == 1 else d  # ints compare fast
+                key.append((1, _rev(p.key), d) if d > 0 else (-1, p.key, d))
+            object.__setattr__(self, "_key", tuple(key) + ((0,),))
+            return self._key
+
+
+def _rev(k):
+    """A tuple whose order on ordinal keys k is the reverse of theirs."""
+    return tuple((0, _rev(e), -c) for e, c in k) + ((1,),)
+
 
 MONE = Monomial()  # the identity monomial
 
@@ -85,23 +115,25 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b.pieces:
         return a
-    # sweep the breakpoints of both maps, summing the exponents between them
-    zero = Fraction(0)
+    # sweep both canonical maps' breakpoints; drop zero sums, merge neighbours
     events = []
     for which, m in enumerate((a, b)):
         for lo, hi, e in m.pieces:
             events.append((lo, which, e))
-            events.append((hi, which, zero))
+            events.append((hi, which, 0))
     events.sort(key=lambda p: p[0].key)
-    pieces = []
-    cur = [zero, zero]
-    prev = None
+    pieces, cur, prev = [], [0, 0], None
     for point, which, e in events:
-        if prev is not None and prev != point and (cur[0] or cur[1]):
-            pieces.append((prev, point, cur[0] + cur[1]))
+        if prev is not None and prev is not point:
+            s = cur[0] + cur[1]
+            if s:
+                if pieces and pieces[-1][1] is prev and pieces[-1][2] == s:
+                    pieces[-1] = (pieces[-1][0], point, s)
+                else:
+                    pieces.append((prev, point, s))
         cur[which] = e
         prev = point
-    return make_monomial(pieces)
+    return Monomial(tuple(pieces))
 
 
 def mono_pow(a: Monomial, t) -> Monomial:
@@ -115,45 +147,8 @@ def mono_pow(a: Monomial, t) -> Monomial:
 @lru_cache(maxsize=None)
 def mono_compare(a: Monomial, b: Monomial) -> int:
     """Lexicographic order: the lowest level where the exponents differ decides."""
-    if a is b:
-        return EQ
-    pa, pb = a.pieces, b.pieces
-    i = j = 0
-    ca = cb = None  # current (possibly clipped) piece of each side
-    while True:
-        if ca is None:
-            if i < len(pa):
-                ca = pa[i]
-                i += 1
-            else:
-                if cb is None and j >= len(pb):
-                    return EQ
-                eb = cb[2] if cb is not None else pb[j][2]
-                return LT if eb > 0 else GT
-        if cb is None:
-            if j < len(pb):
-                cb = pb[j]
-                j += 1
-            else:
-                return GT if ca[2] > 0 else LT
-        alo, ahi, ea = ca
-        blo, bhi, eb = cb
-        ka, kb = alo.key, blo.key
-        if ka < kb:
-            # a alone is supported on [alo, min(ahi, blo))
-            return GT if ea > 0 else LT
-        if kb < ka:
-            return LT if eb > 0 else GT
-        if ea != eb:
-            return GT if ea > eb else LT
-        # equal exponents from the common start; clip to the shorter piece
-        kah, kbh = ahi.key, bhi.key
-        if kah == kbh:
-            ca = cb = None
-        elif kah < kbh:
-            ca, cb = None, (ahi, bhi, eb)
-        else:
-            ca, cb = (bhi, ahi, ea), None
+    # equal monomials are one interned instance, so others have other keys
+    return EQ if a is b else GT if a.key > b.key else LT
 
 
 def mono_max(a: Monomial, b: Monomial) -> Monomial:

@@ -229,6 +229,15 @@ def parse_int(digits: str) -> int:
     return parse_int(digits[:-half]) * 10 ** half + parse_int(digits[-half:])
 
 
+def parse_frac(text: str) -> Fraction:
+    """The Fraction of format_frac's text "n" or "n/d", exact at any size."""
+    m = re.fullmatch(r"(-?)([0-9]+)(?:/([0-9]+))?", text)
+    if not m:
+        raise ValueError("not a fraction: %r" % text[:40])
+    num = parse_int(m[2])
+    return Fraction(-num if m[1] else num, parse_int(m[3] or "1"))
+
+
 def format_ordinal(a: Ordinal) -> str:
     if not a.terms:
         return "0"

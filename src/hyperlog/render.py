@@ -13,7 +13,7 @@ from fractions import Fraction
 from .composition import Logarithmicity
 from .monomial import MONE, Monomial, make_monomial
 from .ordinal import (ONE, Ordinal, ZERO, format_frac, format_int,
-                      format_ordinal, ord_add, parse_ordinal)
+                      format_ordinal, ord_add, parse_frac, parse_ordinal)
 from .series import Series, make_series
 
 SCHEMA = "hyperlog/1"
@@ -169,7 +169,7 @@ def value_to_json(v) -> dict:
 
 def monomial_from_json(data) -> Monomial:
     return make_monomial([(parse_ordinal(p["from"]), parse_ordinal(p["to"]),
-                           Fraction(p["exp"])) for p in data])
+                           parse_frac(p["exp"])) for p in data])
 
 
 def series_from_json(data) -> Series:
@@ -177,7 +177,7 @@ def series_from_json(data) -> Series:
         raise ValueError("unknown schema: %r" % data.get("schema"))
     if data.get("kind") != "series":
         raise ValueError("not a series payload")
-    terms = [(monomial_from_json(t["monomial"]), Fraction(t["coeff"]))
+    terms = [(monomial_from_json(t["monomial"]), parse_frac(t["coeff"]))
              for t in data["terms"]]
     bound = monomial_from_json(data["bound"]) if data["bound"] is not None else None
     return make_series(terms, bound)

@@ -20,15 +20,18 @@ anyway, known in advance from dominant monomials alone.  An operation given
 a floor returns exactly with_bound(result, floor), but never forms a product
 below it: ser_mul(a, b, floor) and ser_pow(a, t, prec, floor) stop their
 rows and their expansions there.
+
+make_series sorts terms by Monomial.key.  Its inputs arrive as descending
+runs (the two operands of ser_add, one series in with_bound, the rows of
+ser_mul), and the sort finds those runs and merges them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import count, islice
 
-from .errors import (IndeterminateDominant, IndeterminateSign,
+from .errors import (BadPrecision, IndeterminateDominant, IndeterminateSign,
                      IndeterminateSplit, IrrationalConstantPower, NonMonicLog,
                      NotPositive, ZeroSeries)
 from .monomial import (LT, EQ, GT, MONE, Monomial, hyperlog, mono_compare,
@@ -58,7 +61,7 @@ class Precision:
 
     def __post_init__(self):
         if self.budget < 1:
-            raise ValueError("precision budget must be >= 1")
+            raise BadPrecision("precision budget must be >= 1")
 
 
 DEFAULT_PRECISION = Precision(8)
@@ -71,11 +74,12 @@ def make_series(terms, bound: Monomial | None = None) -> Series:
     """Canonicalize: merge duplicates, drop zeros and sub-bound terms, sort."""
     acc = {}
     for m, c in terms:
-        acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
-    kept = [(m, c) for m, c in acc.items() if c != 0]
-    if bound is not None:
-        kept = [(m, c) for m, c in kept if mono_compare(m, bound) != LT]
-    kept.sort(key=cmp_to_key(lambda a, b: mono_compare(a[0], b[0])), reverse=True)
+        if type(c) is not Fraction:
+            c = Fraction(c)
+        acc[m] = acc[m] + c if m in acc else c
+    low = bound.key if bound is not None else ()  # () is below every key
+    kept = [(m, c) for m, c in acc.items() if c and m.key >= low]
+    kept.sort(key=lambda t: t[0].key, reverse=True)
     return Series(tuple(kept), bound)
 
 

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from hyperlog import (OMEGA, Precision, from_monomial, hyperlog_deriv,
-                      ser_mul)
+from hyperlog import (OMEGA, BadPrecision, DomainError, Precision,
+                      from_monomial, hyperlog_deriv, ser_mul)
 from hyperlog.series import with_bound
 from hyperlog.cli import CliSyntaxError, eval_text, main, parse
 from hyperlog.render import (format_series_text, series_from_json,
@@ -91,6 +91,22 @@ def test_script_mode_continues_after_too_deep_nesting(tmp_path):
     assert lines[1] == "x + 1"
 
 
+def test_budget_zero_is_a_typed_error(tmp_path, capsys):
+    script = tmp_path / "zero.txt"
+    script.write_text("D@0(x)\nx + 1\n")
+    assert main(["--script", str(script)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: BadPrecision: precision budget must be >= 1", "x + 1"]
+    with pytest.raises(SystemExit) as exit:
+        main(["--prec", "0", "--eval", "x"])
+    assert exit.value.code == 2
+    assert "--prec: precision budget must be >= 1" in capsys.readouterr().err
+    with pytest.raises(BadPrecision):
+        Precision(0)
+    assert issubclass(BadPrecision, DomainError)
+    assert issubclass(BadPrecision, ValueError)
+
+
 def _decimal(n):
     """The digits of n > 0, converted nine at a time from the low end."""
     chunks = []
@@ -125,6 +141,13 @@ def test_big_integers_render_exactly_in_every_format():
     assert code == 0
     assert [t["coeff"] for t in terms] == [c, "-1/" + d]
     assert terms[0]["monomial"][0]["exp"] == e
+
+
+def test_json_round_trip_past_the_str_digit_limit():
+    f = eval_text("3^9000*x^(2^20000) - 1/5^7000")
+    back = series_from_json(json.loads(json.dumps(series_to_json(f))))
+    assert back.terms == f.terms
+    assert back.bound == f.bound
 
 
 def test_huge_constants_in_error_messages_are_exact():

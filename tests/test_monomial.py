@@ -125,3 +125,132 @@ def test_split_recombines(m):
         assert hi <= ordinal(2)
     for lo, hi, _ in high.pieces:
         assert lo >= ordinal(2)
+
+
+# --- the key order and the canonical product against reference walks ------------
+
+def reference_compare(a, b):
+    """The monomial order by walking both piece lists, clipping as it goes."""
+    if a is b:
+        return EQ
+    pa, pb = a.pieces, b.pieces
+    i = j = 0
+    ca = cb = None  # current (possibly clipped) piece of each side
+    while True:
+        if ca is None:
+            if i < len(pa):
+                ca = pa[i]
+                i += 1
+            else:
+                if cb is None and j >= len(pb):
+                    return EQ
+                eb = cb[2] if cb is not None else pb[j][2]
+                return LT if eb > 0 else GT
+        if cb is None:
+            if j < len(pb):
+                cb = pb[j]
+                j += 1
+            else:
+                return GT if ca[2] > 0 else LT
+        alo, ahi, ea = ca
+        blo, bhi, eb = cb
+        ka, kb = alo.key, blo.key
+        if ka < kb:
+            # a alone is supported on [alo, min(ahi, blo))
+            return GT if ea > 0 else LT
+        if kb < ka:
+            return LT if eb > 0 else GT
+        if ea != eb:
+            return GT if ea > eb else LT
+        # equal exponents from the common start; clip to the shorter piece
+        kah, kbh = ahi.key, bhi.key
+        if kah == kbh:
+            ca = cb = None
+        elif kah < kbh:
+            ca, cb = None, (ahi, bhi, eb)
+        else:
+            ca, cb = (bhi, ahi, ea), None
+
+
+def reference_mul(a, b):
+    """The product by a breakpoint sweep canonicalized with make_monomial."""
+    events = []
+    for which, m in enumerate((a, b)):
+        for lo, hi, e in m.pieces:
+            events.append((lo, which, e))
+            events.append((hi, which, Fraction(0)))
+    events.sort(key=lambda p: p[0].key)
+    pieces, cur, prev = [], [Fraction(0), Fraction(0)], None
+    for point, which, e in events:
+        if prev is not None and prev != point and (cur[0] or cur[1]):
+            pieces.append((prev, point, cur[0] + cur[1]))
+        cur[which] = e
+        prev = point
+    return make_monomial(pieces)
+
+
+W_W = omega_pow(OMEGA)
+# levels up to w^w, so that the key's order reversal recurses into exponents
+LEVELS = [ZERO, ordinal(1), ordinal(2), ordinal(3), OMEGA, ord_add(OMEGA, ONE),
+          ord_add(OMEGA, OMEGA), omega_pow(ordinal(2)),
+          ord_add(omega_pow(ordinal(2)), ordinal(5)), omega_pow(ordinal(3)),
+          W_W, ord_add(W_W, ONE), ord_add(W_W, W_W)]
+EXPONENTS = [0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]
+
+
+@st.composite
+def level_monomials(draw):
+    """Monomials over ordinal levels up to w^w*2, integral and rational."""
+    cuts = sorted(set(draw(st.lists(st.sampled_from(LEVELS), max_size=7))),
+                  key=lambda o: o.key)
+    exps = draw(st.lists(st.sampled_from(EXPONENTS), min_size=len(cuts),
+                         max_size=len(cuts)))
+    return make_monomial([(lo, hi, Fraction(e))
+                          for lo, hi, e in zip(cuts, cuts[1:], exps)])
+
+
+@st.composite
+def monomial_pairs(draw):
+    """Independent pairs, equal pairs and pairs that partly cancel."""
+    a = draw(level_monomials())
+    kind = draw(st.sampled_from(["any", "equal", "inverse", "near"]))
+    if kind == "equal":
+        return a, make_monomial(list(a.pieces))
+    b = draw(level_monomials())
+    if kind == "inverse":
+        inverse = mono_pow(a, -1)
+        return a, mono_mul(inverse, b) if draw(st.booleans()) else inverse
+    if kind == "near":
+        return a, mono_mul(a, b)
+    return a, b
+
+
+def _sign(x, y):
+    return EQ if x == y else GT if x > y else LT
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_pairs())
+def test_key_order_is_the_piece_walk(pair):
+    a, b = pair
+    expected = reference_compare(a, b)
+    assert _sign(a.key, b.key) == expected
+    assert mono_compare(a, b) == expected
+    assert reference_compare(b, a) == -expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomial_pairs())
+def test_mono_mul_is_the_canonicalized_sweep(pair):
+    a, b = pair
+    assert mono_mul.__wrapped__(a, b) is reference_mul(a, b)
+    assert mono_mul.__wrapped__(b, a) is reference_mul(a, b)
+
+
+def test_mono_mul_cancels_and_merges():
+    one, two, w = ordinal(1), ordinal(2), OMEGA
+    a = make_monomial([(ZERO, one, Fraction(1)), (one, w, Fraction(2))])
+    b = make_monomial([(ZERO, one, Fraction(1)), (two, w, Fraction(-2))])
+    # [0,1) -> 2 and [1,2) -> 2 merge; [2,w) cancels to nothing
+    assert mono_mul.__wrapped__(a, b).pieces == ((ZERO, two, Fraction(2)),)
+    assert mono_mul.__wrapped__(a, mono_pow(a, -1)) is MONE

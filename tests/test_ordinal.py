@@ -1,4 +1,5 @@
 """Ordinal arithmetic: frozen values, oracle agreement, and order laws."""
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -9,7 +10,8 @@ from hyperlog import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, is_limit,
                       ord_add, ord_compare, ordinal, parse_ordinal)
 from hyperlog.cli import Atom, parse
 from hyperlog.monomial import hyperlog
-from hyperlog.ordinal import EQ, GT, LT, ordinal_to_int, predecessor
+from hyperlog.ordinal import (EQ, GT, LT, format_frac, ordinal_to_int,
+                              parse_frac, predecessor)
 
 from conftest import small_ordinals
 from triple_oracle import oracle_add, oracle_compare, triple_to_parts, triples
@@ -79,6 +81,15 @@ def test_malformed_ordinals_raise_syntax_errors():
     for bad in ("w*w", "w*", "w^", "w+", "w^(2", "2 w", "x"):
         with pytest.raises(SyntaxError):
             parse_ordinal(bad)
+
+
+def test_parse_frac_reads_format_frac_at_any_size():
+    for c in (Fraction(0), Fraction(-7, 3), Fraction(3**9000),
+              Fraction(-1, 5**7000), Fraction(2**20000 + 1, 3**5000)):
+        assert parse_frac(format_frac(c)) == c
+    for bad in ("", "-", "1/", "/2", "--1", "1.5", " 1", "1/-2", "1e3"):
+        with pytest.raises(ValueError):
+            parse_frac(bad)
 
 
 def test_ordinal_to_int():

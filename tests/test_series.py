@@ -6,6 +6,7 @@ inverse, logarithm and power expansions.
 """
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 import sympy
@@ -20,11 +21,12 @@ from hyperlog import (DEFAULT_PRECISION, IndeterminateSplit, MONE, NonMonicLog,
                       ser_add, ser_compare_zero, ser_dominant, ser_log, ser_lt,
                       ser_mul, ser_mul_inverse, ser_neg, ser_parts, ser_pow,
                       ser_scale, ser_sub)
-from hyperlog.monomial import exponent_at, mono_max, mono_mul
+from hyperlog.monomial import LT, exponent_at, mono_max, mono_mul
 from hyperlog.series import (S_ONE, S_ZERO, rational_pow, support_sum,
                              truncated_sum, with_bound)
 
 from conftest import rand_finite_monomial, rand_series
+from test_monomial import level_monomials, reference_compare
 
 SX = sympy.Symbol("x", positive=True)
 ONE_ORD = ordinal(1)
@@ -363,3 +365,34 @@ def test_inverse_round_trip(a):
         return
     inv = ser_mul_inverse(a, Precision(6))
     assert eq_to_bound(ser_mul(a, inv), S_ONE)
+
+
+# --- make_series against a comparator sort -------------------------------------
+
+def reference_make_series(terms, bound=None):
+    """make_series with the order of the reference piece walk."""
+    acc = {}
+    for m, c in terms:
+        acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
+    kept = [(m, c) for m, c in acc.items() if c != 0]
+    if bound is not None:
+        kept = [(m, c) for m, c in kept if reference_compare(m, bound) != LT]
+    kept.sort(key=cmp_to_key(lambda a, b: reference_compare(a[0], b[0])),
+              reverse=True)
+    return Series(tuple(kept), bound)
+
+
+COEFFS = st.sampled_from([0, 1, -1, 3, Fraction(0), Fraction(1, 2),
+                          Fraction(-2, 3), Fraction(5)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(level_monomials(), min_size=1, max_size=5), st.data())
+def test_make_series_matches_a_comparator_sort(pool, data):
+    # a small pool makes duplicates; some pairs of them cancel to zero
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), COEFFS),
+                               max_size=12))
+    bound = data.draw(st.one_of(st.none(), st.sampled_from(pool)))
+    got = make_series(terms, bound)
+    assert got == reference_make_series(terms, bound)
+    assert all(type(c) is Fraction for _, c in got.terms)
