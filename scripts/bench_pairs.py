@@ -18,6 +18,7 @@ quartiles and the number of pairs the change won, then every run's
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
@@ -29,6 +30,26 @@ import tempfile
 def _git(*args, cwd=None):
     return subprocess.run(["git", *args], cwd=cwd, check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
+
+
+@contextlib.contextmanager
+def checkouts(*revisions):
+    """Check out each revision with ``git worktree`` under a temporary
+    directory; yields the checkout roots and removes them afterwards."""
+    top = _git("rev-parse", "--show-toplevel")
+    revs = [_git("rev-parse", "--verify", r + "^{commit}", cwd=top)
+            for r in revisions]
+    with tempfile.TemporaryDirectory(prefix="checkouts-") as tmp:
+        roots = [os.path.join(tmp, str(i)) for i in range(len(revs))]
+        try:
+            for root, rev in zip(roots, revs):
+                _git("worktree", "add", "--detach", root, rev, cwd=top)
+            yield roots
+        finally:
+            for root in roots:
+                if os.path.isdir(root):
+                    _git("worktree", "remove", "--force", root, cwd=top)
+            _git("worktree", "prune", cwd=top)
 
 
 def _reject_constant(name):
@@ -68,32 +89,19 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
-    top = _git("rev-parse", "--show-toplevel")
-    revs = [_git("rev-parse", "--verify", r + "^{commit}", cwd=top)
-            for r in (args.parent, args.change)]
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = [os.path.join(tmp, side) for side in ("parent", "change")]
-        try:
-            for root, rev in zip(roots, revs):
-                _git("worktree", "add", "--detach", root, rev, cwd=top)
-            with open(os.path.join(roots[1], "BENCHMARK.json")) as handle:
-                spec = json.load(handle)
-            metrics = spec["per_layer" if args.trace else "end_to_end"]
-            names = [m["name"] for m in metrics]
-            results = ([], [])
-            for i in range(args.pairs):
-                seed = args.seeds[i % len(args.seeds)]
-                order = (0, 1) if i % 2 == 0 else (1, 0)
-                for side in order:
-                    results[side].append(run_once(
-                        roots[side], args.workload, seed, args.trace,
-                        names))
-                print("pair %d (seed %d) done" % (i + 1, seed), file=sys.stderr)
-        finally:
-            for root in roots:
-                if os.path.isdir(root):
-                    _git("worktree", "remove", "--force", root, cwd=top)
-            _git("worktree", "prune", cwd=top)
+    with checkouts(args.parent, args.change) as roots:
+        with open(os.path.join(roots[1], "BENCHMARK.json")) as handle:
+            spec = json.load(handle)
+        metrics = spec["per_layer" if args.trace else "end_to_end"]
+        names = [m["name"] for m in metrics]
+        results = ([], [])
+        for i in range(args.pairs):
+            seed = args.seeds[i % len(args.seeds)]
+            order = (0, 1) if i % 2 == 0 else (1, 0)
+            for side in order:
+                results[side].append(run_once(
+                    roots[side], args.workload, seed, args.trace, names))
+            print("pair %d (seed %d) done" % (i + 1, seed), file=sys.stderr)
 
     print("%s: %s -> %s, %d pairs, seeds %s" % (
         args.workload, args.parent, args.change, args.pairs,

@@ -195,7 +195,7 @@ class Parser:
                 digits = self.take()
                 if not digits.isdigit():
                     self.error("expected precision after @")
-                prec = int(digits)
+                prec = parse_int(digits)
             self.take("(")
             args = [self.expr()]
             while self.peek() == ",":

@@ -10,18 +10,21 @@ inversion peels a scaling term and a monomial factor, then finishes with a
 tangent-to-identity fixed-point iteration.  Every infinite sum here goes
 through series.truncated_sum, which sets its truncation bound.
 
-Floors.  A Taylor sum of image(D^n w) * e^n / n! (the deformation around the
-third iterated logarithm, and each step of the inversion) is closed by
-truncated_sum at the dominant of its budget-th term, F = d_(budget-1), where
-d_n = image_dom(dom D^n w) * dom(e)^n is a product of dominant monomials.
-When e has a term and D^0 w ... D^(budget-1) w all have terms, the sum
-provably reaches the budget, so F is computed first and no term below it is
-formed; otherwise the sum may end exactly, and no floor is set.  A monomial
-with an infinite [n, omega) piece ends in a factor whose bound cuts the
-product at its dominant times rel = dom(eps) * x, eps being the tower's last
-logarithm less its exact hyperlogarithm; when rel < 1 every partial product
-and every power of a logarithm is cut there too.  The floors are bounds the
-result carries anyway, so they change no output.
+Floors.  One Taylor sum, _taylor_sum of image(D^n w) * e^n / n!, serves the
+deformation around the third iterated logarithm, each step of the inversion
+and taylor_compose.  truncated_sum closes it at the dominant of its
+budget-th term, F = d_(budget-1), where d_n = image_dom(dom D^n w) * dom(e)^n
+is a product of dominant monomials.  When e has a term and D^0 w ...
+D^(budget-1) w all have terms, the sum provably reaches the budget, so F is
+computed first: a term m of D^n w with image_dom(m) below F / dom(e)^n is
+dropped before it is composed, and no product below F is formed; otherwise
+the sum may end exactly, and no floor is set.  A monomial with an infinite
+[n, omega) piece ends in a factor whose bound cuts the product at its
+dominant times rel = dom(eps) * x, eps being the tower's last logarithm less
+its exact hyperlogarithm; when rel < 1 every partial product and every power
+of a logarithm is cut there too.  The floors are bounds the result carries
+anyway; a dropped term takes away only its image's own bound, which can lie
+above the image's true dominant (the [n, omega) tail bound).
 """
 from __future__ import annotations
 
@@ -240,11 +243,13 @@ def _taylor_sum(w: Series, e: Series, image, image_dom,
                 prec: Precision) -> Series:
     """The Taylor sum of image(D^n w) * e^n / n! over n >= 0.
 
-    image maps a series to its composition with the point the sum expands
-    around, and image_dom maps a monomial to the dominant monomial of its
-    image.  When the sum provably reaches the budget, its final bound F is
-    known from dominants: e^n is cut at F / image_dom(dom D^n w), which
-    leaves image(D^n w) cut at F / dom(e)^n and every term at F.
+    It serves _taylor_deform_tower, invert and taylor_compose.  image maps
+    a series to its composition with the point the sum expands around, and
+    image_dom maps a monomial to the dominant monomial of its image.  When
+    the sum provably reaches the budget, its final bound F is known from
+    dominants: a term m of D^n w with image_dom(m) below F / dom(e)^n is
+    dropped before image is called, e^n is cut at F / image_dom(dom D^n w),
+    and every term of the sum is cut at F.
     """
     budget = prec.budget
     derivs = [w]
@@ -257,17 +262,20 @@ def _taylor_sum(w: Series, e: Series, image, image_dom,
                              mono_pow(e.terms[0][0], budget - 1))
 
     def terms():
-        yield with_bound(image(w), floor)
-        dn = w
-        epow = S_ONE
-        for n in count(1):
-            # a zero derivative or power makes this term, and the sum, end
-            dn = derivs[n] if n < len(derivs) else derive(dn, prec)
-            cut = None
+        dn, epow = w, S_ONE
+        for n in count():
+            if n:
+                # a zero derivative or power makes this term, and the sum, end
+                dn = derivs[n] if n < len(derivs) else derive(dn, prec)
+                epow = ser_mul(epow, e, floor and mono_mul(
+                    floor, mono_pow(image_dom(dn.terms[0][0]), -1)))
+            part = dn
             if floor is not None:
-                cut = mono_mul(floor, mono_pow(image_dom(dn.terms[0][0]), -1))
-            epow = ser_mul(epow, e, cut)
-            yield ser_scale(ser_mul(image(dn), epow, floor),
+                # F covers the terms whose image times e^n lies below it
+                low = mono_mul(floor, mono_pow(e.terms[0][0], -n))
+                part = Series(tuple(t for t in dn.terms if mono_compare(
+                    image_dom(t[0]), low) != LT), dn.bound)
+            yield ser_scale(ser_mul(image(part), epow, floor),
                             Fraction(1, factorial(n)))
 
     return truncated_sum(terms(), budget)
@@ -296,8 +304,11 @@ def _dominant_image(m: Monomial, tower: LogTower) -> Monomial:
     The dominant of a product is the product of the dominants, so this is
     exact and much cheaper than composing.
     """
-    factors, _, tail = _tower_walk(m, tower)
-    out = tail or MONE
+    low, high = mono_split(m, OMEGA)
+    factors, _, tail = _tower_walk(low, tower)
+    # up3 and the deformation each keep their first term's dominant
+    out = mono_mul(_hyperlog_image(high, ord_add(tower.lam, ordinal(3))),
+                   tail or MONE)
     for n, r in factors:
         out = mono_mul(out, mono_pow(ser_dominant(tower.log(n))[0], r))
     return out
@@ -306,13 +317,12 @@ def _dominant_image(m: Monomial, tower: LogTower) -> Monomial:
 def compose(f: Series, g: Series,
             prec: Precision = DEFAULT_PRECISION) -> Series:
     """Full composition f after g for g above the rationals."""
-    _check_above_rationals(g)
-    if g == X_SERIES:
-        return f
     return _compose_tower(f, LogTower(g, prec), prec)
 
 
 def _compose_tower(f: Series, tower: LogTower, prec: Precision) -> Series:
+    if tower.levels[0] == X_SERIES:
+        return f
     groups = {}
     for m, c in f.terms:
         low, high = mono_split(m, OMEGA)
@@ -344,45 +354,8 @@ def taylor_compose(f: Series, g: Series, h: Series,
     elif h.bound is not None and mono_compare(h.bound, mg) == 1:
         raise HNotSmaller("increment bound is not below the base")
     tower = LogTower(g, prec)
-
-    def terms():
-        seed = _compose_tower(f, tower, prec)
-        yield seed
-        dn = f
-        hpow = S_ONE
-        pre = None
-        for n in count(1):
-            dn = derive(dn, prec)
-            if is_exact_zero(dn):
-                return
-            hpow = ser_mul(hpow, h)
-            pruned = False
-            if pre is not None and len(dn.terms) > 8 and hpow.terms:
-                # drop derivative terms whose whole contribution falls below
-                # the predicted final bound; the bound attached to t covers
-                # them.  A term with support at or above omega is kept.
-                floor = mono_mul(pre, mono_pow(hpow.terms[0][0], -1))
-                kept = tuple((m, c) for m, c in dn.terms
-                             if m.pieces and m.pieces[-1][1] > OMEGA
-                             or mono_compare(_dominant_image(m, tower), floor) != LT)
-                pruned = len(kept) < len(dn.terms)
-                dn = Series(kept, dn.bound)
-                if not kept and dn.bound is None:
-                    yield Series((), pre)
-                    return
-            t = ser_scale(ser_mul(_compose_tower(dn, tower, prec), hpow),
-                          Fraction(1, factorial(n)))
-            if pruned or (pre is not None and len(t.terms) > 8):
-                t = with_bound(t, pre)
-            if pre is None and t.terms:
-                # geometric decay of the correction dominants predicts where
-                # the final truncation lands; the seed is the sum so far here
-                lead = seed.terms[0][0]
-                ratio = mono_mul(t.terms[0][0], mono_pow(lead, -1))
-                pre = mono_mul(lead, mono_pow(ratio, prec.budget))
-            yield t
-
-    return truncated_sum(terms(), prec.budget)
+    return _taylor_sum(f, h, lambda t: _compose_tower(t, tower, prec),
+                       lambda m: _dominant_image(m, tower), prec)
 
 
 def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:

@@ -23,20 +23,21 @@ from .errors import EmptyInterval, IdentityMonomial
 from .ordinal import (EQ, GT, LT, ONE, ZERO, Ordinal, ord_add, ord_compare)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Monomial:
     # ((lo: Ordinal, hi: Ordinal, exponent: Fraction), ...) sorted by lo,
     # pairwise disjoint, no zero exponents, adjacent equal pieces merged.
     pieces: tuple = ()
 
-    # Equal monomials are interned to a single instance so that the hot
-    # comparison and cache paths can short-circuit on object identity.
+    # Equal monomials are interned to one instance, its field set once in
+    # __new__, so that hot paths can short-circuit on object identity.
     _interned = {}
 
     def __new__(cls, pieces=()):
         self = cls._interned.get(pieces)
         if self is None:
             self = object.__new__(cls)
+            object.__setattr__(self, "pieces", pieces)
             cls._interned[pieces] = self
         return self
 

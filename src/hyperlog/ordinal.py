@@ -14,18 +14,19 @@ from functools import lru_cache
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ordinal:
     terms: tuple = ()  # ((exponent: Ordinal, coefficient: int), ...)
 
-    # Equal ordinals are interned to a single instance so that the hot
-    # comparison and cache paths can short-circuit on object identity.
+    # Equal ordinals are interned to one instance, its field set once in
+    # __new__, so that hot paths can short-circuit on object identity.
     _interned = {}
 
     def __new__(cls, terms=()):
         self = cls._interned.get(terms)
         if self is None:
             self = object.__new__(cls)
+            object.__setattr__(self, "terms", terms)
             cls._interned[terms] = self
         return self
 

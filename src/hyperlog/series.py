@@ -27,6 +27,7 @@ ser_mul), and the sort finds those runs and merges them.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -62,6 +63,8 @@ class Precision:
     def __post_init__(self):
         if self.budget < 1:
             raise BadPrecision("precision budget must be >= 1")
+        if self.budget >= sys.maxsize:
+            raise BadPrecision("precision budget must be < %d" % sys.maxsize)
 
 
 DEFAULT_PRECISION = Precision(8)

@@ -107,6 +107,14 @@ def test_budget_zero_is_a_typed_error(tmp_path, capsys):
     assert issubclass(BadPrecision, ValueError)
 
 
+def test_huge_budgets_are_typed_errors(tmp_path, capsys):
+    script = tmp_path / "huge.txt"
+    script.write_text("D@%s(x)\nD@%d(x)\nx + 1\n" % ("9" * 5000, sys.maxsize))
+    assert main(["--script", str(script)]) == 1
+    below = "error: BadPrecision: precision budget must be < %d" % sys.maxsize
+    assert capsys.readouterr().out.splitlines() == [below, below, "x + 1"]
+
+
 def _decimal(n):
     """The digits of n > 0, converted nine at a time from the low end."""
     chunks = []

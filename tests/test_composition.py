@@ -2,6 +2,8 @@
 import random
 import time
 from fractions import Fraction
+from itertools import count
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -13,16 +15,17 @@ from hyperlog import (HNotSmaller, IrrationalConstantPower, Logarithmicity,
                       compose_hyperlog, compose_hyperlog_omega, derive,
                       eq_exact, eq_to_bound, from_const, from_monomial,
                       hyperlog, hyperlog_deriv, invert, log_iter,
-                      logarithmicity, make_monomial, mono_mul, mono_pow,
-                      omega_pow, ord_add, ordinal, parse_ordinal,
+                      logarithmicity, make_monomial, mono_compare, mono_mul,
+                      mono_pow, omega_pow, ord_add, ordinal, parse_ordinal,
                       recursion_check, ser_add, ser_dominant, ser_log, ser_mul,
                       ser_mul_inverse, ser_scale, ser_sub, taylor_compose,
                       taylor_deform)
 from hyperlog.cli import eval_text
-from hyperlog.composition import (LogTower, _compose_monomial_tower,
-                                  _dominant_image, _hyperlog_image, up3)
+from hyperlog.composition import (LogTower, _compose_tower, _dominant_image,
+                                  _hyperlog_image, up3)
+from hyperlog.ordinal import GT
 from hyperlog.render import format_value
-from hyperlog.series import S_ONE, S_ZERO
+from hyperlog.series import S_ONE, S_ZERO, truncated_sum
 
 from conftest import rand_composable, rand_series
 
@@ -116,12 +119,18 @@ def tower_monomials(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(tower_monomials(),
+       st.sampled_from(["1", "l[w]", "l[w]^-1", "l[w+1]^2", "l[w^2]",
+                        "prod(l[w..w*2])^-1", "l[w]^(1/2)*l[w+2]^-1"]),
        st.sampled_from(["x + 1", "x + l[1] + 1", "x + 3/2 + 1/2*l[1]^-1",
                         "x + O(1)", "l[1] + 2", "x*l[1]"]),
        st.integers(1, 5))
-def test_dominant_image_is_the_dominant_of_the_tower_composition(m, g, budget):
-    tower = LogTower(eval_text(g), Precision(budget))
-    image = _compose_monomial_tower(m, tower)
+def test_dominant_image_is_the_dominant_of_the_tower_composition(low, high, g,
+                                                                 budget):
+    # the pieces of high lie at or above w
+    m = mono_mul(low, eval_text(high).terms[0][0])
+    prec = Precision(budget)
+    tower = LogTower(eval_text(g), prec)
+    image = _compose_tower(from_monomial(m), tower, prec)
     # where the bound of an infinite tail hides every term, there is no
     # dominant to compare
     assume(image.terms)
@@ -244,7 +253,7 @@ def test_taylor_increment_must_be_smaller():
 @pytest.mark.parametrize("lead, h", [("l[w]", "1"), ("l[w+1]", "1"),
                                      ("l[w]", "l[1]")])
 def test_taylor_keeps_terms_with_support_past_the_finite_levels(lead, h):
-    # ten terms make the derivatives long enough to be pruned
+    # ten terms give long derivatives, most of whose terms the floor drops
     f = eval_text(lead + "*x^9 + x^8 + x^7 + x^6 + x^5 + x^4 + x^3 + x^2"
                   " + x + l[1]")
     h = eval_text(h)
@@ -265,6 +274,37 @@ def test_taylor_matches_composition(rng):
         lhs = taylor_compose(f, g, h, prec)
         rhs = compose(f, ser_add(g, h), prec)
         assert eq_to_bound(lhs, rhs)
+
+
+def _plain_taylor(f, g, h, prec):
+    """The Taylor sum of compose(D^n f, g) * h^n / n!, every term in full."""
+    def terms():
+        dn, hpow = f, S_ONE
+        for n in count():
+            yield ser_scale(ser_mul(compose(dn, g, prec), hpow),
+                            Fraction(1, factorial(n)))
+            dn, hpow = derive(dn, prec), ser_mul(hpow, h)
+
+    return truncated_sum(terms(), prec.budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["x^2 + l[1]", "x^(1/2)*l[2]^-1", "l[w]*x",
+                        "-3*x - 2*x^(-1/2)*l[2]^3", "l[w]", "x*l[w+1]^-1",
+                        "prod(l[0..w])^-1 + x^-1"]),
+       st.sampled_from(["x", "x + 1", "x + l[1] + 1", "x + 3/2 + x^-1",
+                        "l[1] + 2", "x*l[1]"]),
+       st.sampled_from(["1", "1/2 + x^-1", "l[2]", "x^-1 + O(x^-2)"]),
+       st.integers(1, 5))
+def test_taylor_compose_agrees_with_the_plain_taylor_sum(f, g, h, budget):
+    f, g, h, prec = eval_text(f), eval_text(g), eval_text(h), Precision(budget)
+    got = taylor_compose(f, g, h, prec)
+    want = _plain_taylor(f, g, h, prec)
+    assert eq_to_bound(got, want)
+    # the floor only drops what lies below the plain sum's own bound
+    if got.bound is not None:
+        assert want.bound is not None
+        assert mono_compare(got.bound, want.bound) != GT
 
 
 # --- inversion ------------------------------------------------------------------------

@@ -254,3 +254,9 @@ def test_mono_mul_cancels_and_merges():
     # [0,1) -> 2 and [1,2) -> 2 merge; [2,w) cancels to nothing
     assert mono_mul.__wrapped__(a, b).pieces == ((ZERO, two, Fraction(2)),)
     assert mono_mul.__wrapped__(a, mono_pow(a, -1)) is MONE
+
+
+def test_building_an_interned_monomial_keeps_its_pieces():
+    # equal pieces with an int exponent give the interned X, unchanged
+    assert Monomial(((ZERO, ONE, 1),)) is X
+    assert type(X.pieces[0][2]) is Fraction

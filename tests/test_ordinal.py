@@ -28,6 +28,12 @@ def from_triple(p):
 
 # --- frozen values -----------------------------------------------------------
 
+def test_building_an_interned_ordinal_keeps_its_terms():
+    # equal terms with a Fraction coefficient give the interned ONE, unchanged
+    assert Ordinal(((ZERO, Fraction(1)),)) is ONE
+    assert type(ONE.terms[0][1]) is int
+
+
 def test_one_plus_omega_absorbs():
     assert ord_add(ONE, OMEGA) == OMEGA
     assert ord_add(OMEGA, ONE) != OMEGA
