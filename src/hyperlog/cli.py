@@ -4,11 +4,13 @@ Grammar: rationals, the atoms x and l[<ordinal>], prod(l[a..b]) interval
 monomials, O(e) truncation bounds, operators + - * / ^ with standard
 precedence, and the function forms D, int, log, comp, inv, taylor, lambda,
 dagger, each accepting an optional @N precision suffix.
+
+Parser subclasses ordinal.TokenReader, the package's one token reader, and
+reads the levels inside l[...] and prod(...) with ordinal.parse_ordinal_sum.
 """
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,34 +20,12 @@ from .calculus import derive, integrate
 from .composition import compose, invert, logarithmicity, taylor_compose
 from .errors import BadPrecision, DomainError, NestingTooDeep, NotPositive
 from .monomial import MONE, hyperlog, make_monomial
-from .ordinal import ZERO, format_frac, parse_int, parse_ordinal_sum
+from .ordinal import (ZERO, CliSyntaxError, TokenReader, format_frac,
+                      parse_int, parse_ordinal_sum)
 from .render import format_value
 from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series, from_const,
                      from_monomial, is_exact_zero, ser_add, ser_log, ser_mul,
                      ser_mul_inverse, ser_neg, ser_pow, ser_sub, with_bound)
-
-_TOKEN = re.compile(r"[ \t]*(\d+|[A-Za-z_]+|\.\.|[-+*/^()\[\],@])")
-
-
-class CliSyntaxError(SyntaxError):
-    pass
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise CliSyntaxError("unexpected character %r at col %d"
-                                 % (text[pos], pos + 1))
-        tokens.append((m.group(1), m.start(1) + 1))
-        pos = m.end()
-    return tokens
-
 
 # --- abstract syntax ---------------------------------------------------------
 
@@ -91,35 +71,8 @@ FUNCTIONS = {"D": (derive, 1), "int": (integrate, 1), "log": (ser_log, 1),
              "dagger": (ser_dagger, 1)}
 
 
-class Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def error(self, msg):
-        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) \
-            else len(self.text) + 1
-        raise CliSyntaxError("%s at col %d" % (msg, col))
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self, tok=None):
-        if self.pos >= len(self.tokens):
-            raise CliSyntaxError("unexpected end of input at col %d"
-                                 % (len(self.text) + 1))
-        got, _ = self.tokens[self.pos]
-        if tok is not None and got != tok:
-            self.error("expected %r, found %r" % (tok, got))
-        self.pos += 1
-        return got
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.tokens):
-            self.error("trailing input %r" % self.peek())
-        return node
+class Parser(TokenReader):
+    """The expression grammar over the shared token reader."""
 
     def expr(self):
         node = self.term()
@@ -152,8 +105,7 @@ class Parser:
     def atom(self):
         tok = self.peek()
         if tok is None:
-            raise CliSyntaxError("unexpected end of input at col %d"
-                                 % (len(self.text) + 1))
+            self.error("unexpected end of input")
         if tok.isdigit():
             return Num(Fraction(parse_int(self.take())))
         if tok == "(":
@@ -212,7 +164,10 @@ class Parser:
 
 def parse(text: str):
     """Parse an expression into its syntax tree."""
-    return Parser(text).parse()
+    parser = Parser(text)
+    node = parser.expr()
+    parser.end()
+    return node
 
 
 # --- evaluation --------------------------------------------------------------
@@ -307,13 +262,10 @@ def repl(prec: Precision, mode: str):
     while True:
         try:
             line = input("> ")
-        except EOFError:
+        except (EOFError, KeyboardInterrupt):
             return 0
-        except KeyboardInterrupt:
-            return 0
-        if not line.strip():
-            continue
-        _run_line(line, prec, mode, sys.stdout)
+        if line.strip():
+            _run_line(line, prec, mode, sys.stdout)
 
 
 def main(argv=None) -> int:

@@ -142,7 +142,7 @@ class LogTower:
         _check_above_rationals(g)
         self.prec = prec
         self.levels = [g]
-        self.lam = logarithmicity(g).value  # finite since the dominant exceeds 1
+        self.lam = logarithmicity(g).value  # not None: the dominant exceeds 1
         self._pows = {}
 
     def log(self, n: int) -> Series:

@@ -55,6 +55,10 @@ class Monomial:
             object.__setattr__(self, "_hash", hash(self.pieces))
             return self._hash
 
+    def __reduce__(self):
+        # copies and pickles go through __new__ and so get the interned instance
+        return (type(self), (self.pieces,))
+
     @property
     def key(self):
         """A plain tuple whose order is the monomial order (module docstring)."""

@@ -3,6 +3,9 @@
 An ordinal is stored as a tuple of (exponent, coefficient) pairs with strictly
 decreasing exponents and coefficients >= 1; the empty tuple is 0.  The form is
 canonical, so structural equality is ordinal equality.
+
+TokenReader here is the package's one token reader: parse_ordinal reads with
+it, and cli.Parser, the expression grammar, is its subclass.
 """
 from __future__ import annotations
 
@@ -10,6 +13,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .errors import NestingTooDeep
 
 LT, EQ, GT = -1, 0, 1
 
@@ -62,6 +67,10 @@ class Ordinal:
             object.__setattr__(self, "_hash", hash(self.terms))
             return self._hash
 
+    def __reduce__(self):
+        # copies and pickles go through __new__ and so get the interned instance
+        return (type(self), (self.terms,))
+
     @property
     def key(self):
         """A plain tuple whose lexicographic order matches the ordinal order.
@@ -93,18 +102,8 @@ def ordinal(n: int) -> Ordinal:
 
 @lru_cache(maxsize=None)
 def ord_compare(a: Ordinal, b: Ordinal) -> int:
-    """Total order on ordinals: LT, EQ or GT."""
-    if a is b:
-        return EQ
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = ord_compare(ea, eb)
-        if c != EQ:
-            return c
-        if ca != cb:
-            return LT if ca < cb else GT
-    if len(a.terms) != len(b.terms):
-        return LT if len(a.terms) < len(b.terms) else GT
-    return EQ
+    """Total order on ordinals: LT, EQ or GT, read from their keys."""
+    return EQ if a is b else GT if a.key > b.key else LT
 
 
 def ord_add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -235,8 +234,10 @@ def parse_frac(text: str) -> Fraction:
     m = re.fullmatch(r"(-?)([0-9]+)(?:/([0-9]+))?", text)
     if not m:
         raise ValueError("not a fraction: %r" % text[:40])
-    num = parse_int(m[2])
-    return Fraction(-num if m[1] else num, parse_int(m[3] or "1"))
+    num, den = parse_int(m[2]), parse_int(m[3] or "1")
+    if not den:
+        raise ValueError("zero denominator: %r" % text[:40])
+    return Fraction(-num if m[1] else num, den)
 
 
 def format_ordinal(a: Ordinal) -> str:
@@ -257,10 +258,7 @@ def format_ordinal(a: Ordinal) -> str:
 
 
 def parse_ordinal_sum(p) -> Ordinal:
-    """Parse a sum of w^e*n and natural-number items from the token parser p.
-
-    p supplies peek(), take(tok=None) and error(msg), which must raise.
-    """
+    """Parse a sum of w^e*n and natural-number items from the TokenReader p."""
     total = _parse_item(p)
     while p.peek() == "+":
         p.take("+")
@@ -305,44 +303,63 @@ def _parse_exponent(p) -> Ordinal:
     p.error("expected an exponent after ^")
 
 
-_ORD_TOKEN = re.compile(r"\s*(\d+|w|\^|\*|\+|\(|\))")
+def parse_ordinal(text: str) -> Ordinal:
+    """Parse the w^e*n sum grammar; non-canonical orderings are renormalized."""
+    reader = TokenReader(text)
+    try:
+        value = parse_ordinal_sum(reader)
+    except RecursionError:
+        raise NestingTooDeep("ordinal nests too deeply") from None
+    reader.end()
+    return value
 
 
-class _OrdParser:
+# --- the token reader --------------------------------------------------------
+
+class CliSyntaxError(SyntaxError):
+    """A line that does not follow the expression or ordinal grammar."""
+
+
+_TOKEN = re.compile(r"[ \t]*(\d+|[A-Za-z_]+|\.\.|[-+*/^()\[\],@])")
+
+
+class TokenReader:
+    """One line's tokens, read with peek and take; errors name the column."""
+
     def __init__(self, text: str):
         self.text = text
+        self.tokens = []  # (token, column)
         self.pos = 0
-        self.tokens = []
         pos = 0
         while pos < len(text):
-            m = _ORD_TOKEN.match(text, pos)
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = _TOKEN.match(text, pos)
             if not m:
-                raise SyntaxError("bad ordinal at column %d: %r" % (pos + 1, text))
-            self.tokens.append((m.group(1), m.start(1)))
+                raise CliSyntaxError("unexpected character %r at col %d"
+                                     % (text[pos], pos + 1))
+            self.tokens.append((m.group(1), m.start(1) + 1))
             pos = m.end()
 
     def error(self, msg):
-        col = self.tokens[self.pos][1] + 1 if self.pos < len(self.tokens) \
+        col = self.tokens[self.pos][1] if self.pos < len(self.tokens) \
             else len(self.text) + 1
-        raise SyntaxError("%s at column %d in %r" % (msg, col, self.text))
+        raise CliSyntaxError("%s at col %d" % (msg, col))
 
     def peek(self):
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
     def take(self, tok=None):
         if self.pos >= len(self.tokens):
-            raise SyntaxError("unexpected end of ordinal: %r" % self.text)
-        got = self.tokens[self.pos][0]
+            self.error("unexpected end of input")
+        got, _ = self.tokens[self.pos]
         if tok is not None and got != tok:
-            self.error("expected %r" % tok)
+            self.error("expected %r, found %r" % (tok, got))
         self.pos += 1
         return got
 
-
-def parse_ordinal(text: str) -> Ordinal:
-    """Parse the w^e*n sum grammar; non-canonical orderings are renormalized."""
-    parser = _OrdParser(text)
-    value = parse_ordinal_sum(parser)
-    if parser.pos != len(parser.tokens):
-        parser.error("trailing %r" % parser.peek())
-    return value
+    def end(self):
+        """Fail unless every token has been taken."""
+        if self.pos != len(self.tokens):
+            self.error("trailing input %r" % self.peek())

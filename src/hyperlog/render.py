@@ -1,5 +1,8 @@
 """Deterministic text, LaTeX and JSON renderers, and the JSON reader.
 
+Text and LaTeX come from one walk, _series -> _term -> _monomial, which takes
+a Notation record (TEXT or LATEX) and never looks at the mode.
+
 The JSON schema is versioned as "hyperlog/1": a series is
 {"schema": "hyperlog/1", "kind": "series", "terms": [{"monomial": [piece...],
 "coeff": "p/q"}], "bound": [piece...] | null} with each piece
@@ -8,7 +11,9 @@ The JSON schema is versioned as "hyperlog/1": a series is
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .composition import Logarithmicity
 from .monomial import MONE, Monomial, make_monomial
@@ -19,61 +24,7 @@ from .series import Series, make_series
 SCHEMA = "hyperlog/1"
 
 
-# --- text --------------------------------------------------------------------
-
-def _exp_text(e: Fraction) -> str:
-    if e == 1:
-        return ""
-    if e.denominator == 1:
-        return "^" + format_frac(e)
-    return "^(%s)" % format_frac(e)
-
-
-def _atom_text(lo: Ordinal) -> str:
-    return "x" if lo == ZERO else "l[%s]" % format_ordinal(lo)
-
-
-def format_monomial_text(m: Monomial) -> str:
-    if m == MONE:
-        return "1"
-    factors = []
-    for lo, hi, e in m.pieces:
-        if hi == ord_add(lo, ONE):
-            factors.append(_atom_text(lo) + _exp_text(e))
-        else:
-            factors.append("prod(l[%s..%s])%s"
-                           % (format_ordinal(lo), format_ordinal(hi), _exp_text(e)))
-    return "*".join(factors)
-
-
-def _term_text(m: Monomial, c: Fraction) -> str:
-    if m == MONE:
-        return format_frac(c)
-    if c == 1:
-        return format_monomial_text(m)
-    if c == -1:
-        return "-" + format_monomial_text(m)
-    return "%s*%s" % (format_frac(c), format_monomial_text(m))
-
-
-def format_series_text(s: Series) -> str:
-    if not s.terms and s.bound is None:
-        return "0"
-    parts = []
-    for i, (m, c) in enumerate(s.terms):
-        if i == 0:
-            parts.append(_term_text(m, c))
-        elif c < 0:
-            parts.append("- " + _term_text(m, -c))
-        else:
-            parts.append("+ " + _term_text(m, c))
-    if s.bound is not None:
-        piece = "O(%s)" % format_monomial_text(s.bound)
-        parts.append(("+ " if parts else "") + piece)
-    return " ".join(parts)
-
-
-# --- LaTeX -------------------------------------------------------------------
+# --- text and LaTeX ----------------------------------------------------------
 
 def format_ordinal_latex(a: Ordinal) -> str:
     if not a.terms:
@@ -97,46 +48,66 @@ def _frac_latex(c: Fraction) -> str:
                                  format_int(c.denominator))
 
 
-def _exp_latex(e: Fraction) -> str:
-    if e == 1:
-        return ""
-    return "^{%s}" % format_frac(e)
+@dataclass(frozen=True)
+class Notation:
+    """How one output mode writes the parts of a series."""
+    frac: Callable[[Fraction], str]        # a coefficient
+    exp: Callable[[Fraction], str]         # an exponent suffix, "" for 1
+    level: Callable[[Ordinal], str]        # the factor l[a]
+    interval: Callable[[Ordinal, Ordinal], str]  # prod of l[b], lo <= b < hi
+    times: str    # between a coefficient and its monomial, and between factors
+    big_o: str    # the truncation bound, a format of its monomial
 
 
-def format_monomial_latex(m: Monomial) -> str:
+TEXT = Notation(
+    frac=format_frac,
+    exp=lambda e: "" if e == 1 else (
+        "^%s" if e.denominator == 1 else "^(%s)") % format_frac(e),
+    level=lambda a: "x" if a == ZERO else "l[%s]" % format_ordinal(a),
+    interval=lambda lo, hi: "prod(l[%s..%s])" % (format_ordinal(lo),
+                                                 format_ordinal(hi)),
+    times="*", big_o="O(%s)")
+
+LATEX = Notation(
+    frac=_frac_latex,
+    exp=lambda e: "" if e == 1 else "^{%s}" % format_frac(e),
+    level=lambda a: r"\ell_{%s}" % format_ordinal_latex(a),
+    interval=lambda lo, hi: r"\prod_{%s \le \beta < %s} \ell_{\beta}"
+    % (format_ordinal_latex(lo), format_ordinal_latex(hi)),
+    times=" ", big_o=r"O\!\left(%s\right)")
+
+
+def _monomial(m: Monomial, n: Notation) -> str:
     if m == MONE:
         return "1"
-    factors = []
-    for lo, hi, e in m.pieces:
-        if hi == ord_add(lo, ONE):
-            factors.append(r"\ell_{%s}%s" % (format_ordinal_latex(lo), _exp_latex(e)))
-        else:
-            factors.append(r"\prod_{%s \le \beta < %s} \ell_{\beta}%s"
-                           % (format_ordinal_latex(lo), format_ordinal_latex(hi),
-                              _exp_latex(e)))
-    return " ".join(factors)
+    return n.times.join(
+        (n.level(lo) if hi == ord_add(lo, ONE) else n.interval(lo, hi)) + n.exp(e)
+        for lo, hi, e in m.pieces)
 
 
-def format_series_latex(s: Series) -> str:
+def _term(m: Monomial, c: Fraction, n: Notation) -> str:
+    if m == MONE:
+        return n.frac(c)
+    if c == 1:
+        return _monomial(m, n)
+    if c == -1:
+        return "-" + _monomial(m, n)
+    return n.frac(c) + n.times + _monomial(m, n)
+
+
+def _series(s: Series, n: Notation) -> str:
     if not s.terms and s.bound is None:
         return "0"
-    parts = []
-    for i, (m, c) in enumerate(s.terms):
-        lead = "" if i == 0 else ("- " if c < 0 else "+ ")
-        c_abs = -c if (i > 0 and c < 0) else c
-        if m == MONE:
-            body = _frac_latex(c_abs)
-        elif c_abs == 1:
-            body = format_monomial_latex(m)
-        elif c_abs == -1:
-            body = "-" + format_monomial_latex(m)
-        else:
-            body = _frac_latex(c_abs) + " " + format_monomial_latex(m)
-        parts.append(lead + body)
+    parts = [_term(*s.terms[0], n)] if s.terms else []
+    for m, c in s.terms[1:]:
+        parts.append("- " + _term(m, -c, n) if c < 0 else "+ " + _term(m, c, n))
     if s.bound is not None:
-        parts.append(("+ " if parts else "")
-                     + r"O\!\left(%s\right)" % format_monomial_latex(s.bound))
+        parts.append(("+ " if parts else "") + n.big_o % _monomial(s.bound, n))
     return " ".join(parts)
+
+
+def format_series_text(s: Series) -> str:
+    return _series(s, TEXT)
 
 
 # --- JSON --------------------------------------------------------------------
@@ -177,9 +148,12 @@ def series_from_json(data) -> Series:
         raise ValueError("unknown schema: %r" % data.get("schema"))
     if data.get("kind") != "series":
         raise ValueError("not a series payload")
-    terms = [(monomial_from_json(t["monomial"]), parse_frac(t["coeff"]))
-             for t in data["terms"]]
-    bound = monomial_from_json(data["bound"]) if data["bound"] is not None else None
+    try:
+        terms = [(monomial_from_json(t["monomial"]), parse_frac(t["coeff"]))
+                 for t in data["terms"]]
+        bound = None if data["bound"] is None else monomial_from_json(data["bound"])
+    except KeyError as err:
+        raise ValueError("series payload without %s" % err) from None
     return make_series(terms, bound)
 
 
@@ -188,7 +162,7 @@ def format_value(v, mode: str = "text") -> str:
     if mode == "json":
         return json.dumps(value_to_json(v), sort_keys=True)
     if isinstance(v, Series):
-        return format_series_text(v) if mode == "text" else format_series_latex(v)
+        return _series(v, TEXT if mode == "text" else LATEX)
     if isinstance(v, Logarithmicity):
         if v.is_infinite:
             return "inf" if mode == "text" else r"\infty"

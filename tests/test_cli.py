@@ -249,6 +249,10 @@ def test_json_rejects_foreign_payloads():
         series_from_json({"schema": "hyperlog/2", "kind": "series"})
     with pytest.raises(ValueError):
         series_from_json({"schema": "hyperlog/1", "kind": "monomial"})
+    with pytest.raises(ValueError):
+        series_from_json({"schema": "hyperlog/1", "kind": "series", "bound": None})
+    with pytest.raises(ValueError):
+        series_from_json({"schema": "hyperlog/1", "kind": "series", "terms": []})
 
 
 def test_text_format_parses_back(rng):

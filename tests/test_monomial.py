@@ -1,4 +1,6 @@
 """The monomial group: canonical form, order, and the logarithm family."""
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -260,3 +262,12 @@ def test_building_an_interned_monomial_keeps_its_pieces():
     # equal pieces with an int exponent give the interned X, unchanged
     assert Monomial(((ZERO, ONE, 1),)) is X
     assert type(X.pieces[0][2]) is Fraction
+
+
+def test_copies_and_pickles_are_the_interned_instances():
+    for value in (X, ONE, OMEGA):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert clone is value
+    assert MONE.pieces == () and ZERO.terms == ()
+    assert X.pieces == ((ZERO, ONE, Fraction(1)),)

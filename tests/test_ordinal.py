@@ -5,13 +5,15 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings
 
-from hyperlog import (OMEGA, ONE, ZERO, Ordinal, format_ordinal, is_limit,
+from hyperlog import (OMEGA, ONE, ZERO, NestingTooDeep, Ordinal,
+                      format_ordinal, is_limit,
                       is_successor, lambda_coeff, monomial_cnf_list, omega_pow,
                       ord_add, ord_compare, ordinal, parse_ordinal)
-from hyperlog.cli import Atom, parse
+from hyperlog.cli import Atom, CliSyntaxError, parse
 from hyperlog.monomial import hyperlog
 from hyperlog.ordinal import (EQ, GT, LT, format_frac, ordinal_to_int,
                               parse_frac, predecessor)
+from hyperlog.render import series_from_json
 
 from conftest import small_ordinals
 from triple_oracle import oracle_add, oracle_compare, triple_to_parts, triples
@@ -89,11 +91,35 @@ def test_malformed_ordinals_raise_syntax_errors():
             parse_ordinal(bad)
 
 
+def test_ordinals_are_read_by_the_expression_reader():
+    # the same tokens, messages and columns as a level inside l[...]
+    with pytest.raises(CliSyntaxError, match=r"^trailing input 'w' at col 5$"):
+        parse_ordinal("w^2 w")
+    with pytest.raises(CliSyntaxError, match=r"^unexpected end of input at col 3$"):
+        parse_ordinal("w*")
+    with pytest.raises(CliSyntaxError, match=r"^expected an ordinal at col 1$"):
+        parse_ordinal("x")
+    with pytest.raises(CliSyntaxError, match=r"^expected an ordinal at col 3$"):
+        parse("l[x]")
+    assert parse_ordinal(" w ^ 2 * 3 + 1 ") == parse_ordinal("w^2*3+1")
+
+
+def test_deep_ordinals_raise_nesting_too_deep():
+    deep = "w^(" * 3000 + "1" + ")" * 3000
+    with pytest.raises(NestingTooDeep):
+        parse_ordinal(deep)
+    piece = {"from": "0", "to": deep, "exp": "1"}
+    payload = {"schema": "hyperlog/1", "kind": "series",
+               "terms": [{"monomial": [piece], "coeff": "1"}], "bound": None}
+    with pytest.raises(NestingTooDeep):
+        series_from_json(payload)
+
+
 def test_parse_frac_reads_format_frac_at_any_size():
     for c in (Fraction(0), Fraction(-7, 3), Fraction(3**9000),
               Fraction(-1, 5**7000), Fraction(2**20000 + 1, 3**5000)):
         assert parse_frac(format_frac(c)) == c
-    for bad in ("", "-", "1/", "/2", "--1", "1.5", " 1", "1/-2", "1e3"):
+    for bad in ("", "-", "1/", "/2", "--1", "1.5", " 1", "1/-2", "1e3", "1/0"):
         with pytest.raises(ValueError):
             parse_frac(bad)
 
@@ -123,6 +149,29 @@ def test_add_matches_oracle():
             assert ord_add(values[p], values[q]) == expected, (p, q)
 
 
+def reference_compare(a, b):
+    """The order of normal forms term by term: exponents, then coefficients,
+    then the remainder, with a missing term losing."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = reference_compare(ea, eb)
+        if c != EQ:
+            return c
+        if ca != cb:
+            return LT if ca < cb else GT
+    if len(a.terms) != len(b.terms):
+        return LT if len(a.terms) < len(b.terms) else GT
+    return EQ
+
+
+def test_key_order_is_the_normal_form_walk():
+    tower = [OMEGA, omega_pow(OMEGA), omega_pow(ord_add(OMEGA, ONE)),
+             omega_pow(omega_pow(OMEGA)), ord_add(omega_pow(OMEGA), ONE)]
+    values = [from_triple(p) for p in triples(4)] + tower
+    for a in values:
+        for b in values:
+            assert ord_compare(a, b) == reference_compare(a, b), (a, b)
+
+
 def test_sentinel_above_oracle_range():
     # w^w sits strictly above everything the oracle can code
     top = omega_pow(OMEGA)
@@ -143,6 +192,7 @@ def test_add_associative(a, b, c):
 @given(small_ordinals(), small_ordinals())
 def test_order_total_and_antisymmetric(a, b):
     c = ord_compare(a, b)
+    assert c == reference_compare(a, b)
     assert c in (LT, EQ, GT)
     assert ord_compare(b, a) == -c
     assert (c == EQ) == (a == b)
