@@ -5,6 +5,10 @@ exponent, as a function of the ordinal level b, is constant on finitely many
 half-open ordinal intervals and zero elsewhere.  Infinite-support values such
 as the exact derivative monomials of the hyperlogarithms are first-class.
 
+Equal monomials are interned to one instance, so a Monomial compares and
+hashes by identity, in C.  An integral exponent is stored as an int, any other
+as a Fraction, whichever of the two a constructor is given.
+
 Each monomial caches a key, a plain tuple whose order is the monomial order,
 so sorting and comparing never call back into Python.  The key walks the
 levels p where the exponent map changes, by d, drops back to 0 included:
@@ -23,19 +27,20 @@ from .errors import EmptyInterval, IdentityMonomial
 from .ordinal import (EQ, GT, LT, ONE, ZERO, Ordinal, ord_add, ord_compare)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Monomial:
-    # ((lo: Ordinal, hi: Ordinal, exponent: Fraction), ...) sorted by lo,
-    # pairwise disjoint, no zero exponents, adjacent equal pieces merged.
+    # ((lo: Ordinal, hi: Ordinal, exponent: int | Fraction), ...) sorted by
+    # lo, pairwise disjoint, no zero exponents, adjacent equal pieces merged.
     pieces: tuple = ()
 
-    # Equal monomials are interned to one instance, its field set once in
-    # __new__, so that hot paths can short-circuit on object identity.
+    # one interned instance per value, its field set once in __new__
     _interned = {}
 
     def __new__(cls, pieces=()):
         self = cls._interned.get(pieces)
         if self is None:
+            # equal exponents hash alike, so int and Fraction find one entry
+            pieces = tuple((lo, hi, _exponent(e)) for lo, hi, e in pieces)
             self = object.__new__(cls)
             object.__setattr__(self, "pieces", pieces)
             cls._interned[pieces] = self
@@ -46,14 +51,6 @@ class Monomial:
             return "Monomial(1)"
         body = ", ".join("[%s,%s)->%s" % (lo, hi, e) for lo, hi, e in self.pieces)
         return "Monomial(%s)" % body
-
-    def __hash__(self):
-        # hashing is hot; cache the recursive tuple hash per instance
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.pieces))
-            return self._hash
 
     def __reduce__(self):
         # copies and pickles go through __new__ and so get the interned instance
@@ -71,10 +68,16 @@ class Monomial:
                 changes += [(lo, d), (hi, -e)]
             key = []
             for p, d in changes:
-                d = d.numerator if d.denominator == 1 else d  # ints compare fast
+                d = _exponent(d)  # ints compare fast
                 key.append((1, _rev(p.key), d) if d > 0 else (-1, p.key, d))
             object.__setattr__(self, "_key", tuple(key) + ((0,),))
             return self._key
+
+
+def _exponent(e):
+    """The rational e as an int when it is integral, else as a Fraction."""
+    e = e if type(e) is int else Fraction(e)
+    return e.numerator if e.denominator == 1 else e
 
 
 def _rev(k):
@@ -87,7 +90,7 @@ MONE = Monomial()  # the identity monomial
 
 def make_monomial(pieces) -> Monomial:
     """Canonicalize: drop zeros, sort, check disjointness, merge neighbors."""
-    kept = [(lo, hi, Fraction(e)) for lo, hi, e in pieces if e != 0]
+    kept = [(lo, hi, _exponent(e)) for lo, hi, e in pieces if e != 0]
     for lo, hi, _ in kept:
         if ord_compare(lo, hi) != LT:
             raise EmptyInterval("empty interval [%s,%s)" % (lo, hi))
@@ -105,12 +108,12 @@ def make_monomial(pieces) -> Monomial:
     return Monomial(tuple(merged))
 
 
-def exponent_at(m: Monomial, beta: Ordinal) -> Fraction:
-    """The exponent of l[beta] in m."""
+def exponent_at(m: Monomial, beta: Ordinal) -> int | Fraction:
+    """The exponent of l[beta] in m, 0 off its support."""
     for lo, hi, e in m.pieces:
         if ord_compare(lo, beta) != GT and ord_compare(beta, hi) == LT:
             return e
-    return Fraction(0)
+    return 0
 
 
 @lru_cache(maxsize=None)
@@ -131,6 +134,8 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     for point, which, e in events:
         if prev is not None and prev is not point:
             s = cur[0] + cur[1]
+            if type(s) is not int:
+                s = _exponent(s)
             if s:
                 if pieces and pieces[-1][1] is prev and pieces[-1][2] == s:
                     pieces[-1] = (pieces[-1][0], point, s)
@@ -143,9 +148,7 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_pow(a: Monomial, t) -> Monomial:
     """Every exponent scaled by the rational t; t = 0 gives the identity."""
-    t = Fraction(t)
-    if t == 0:
-        return MONE
+    t = _exponent(t)
     return make_monomial([(lo, hi, e * t) for lo, hi, e in a.pieces])
 
 
@@ -195,19 +198,19 @@ def mono_split(a: Monomial, beta: Ordinal):
 
 def hyperlog(alpha: Ordinal) -> Monomial:
     """The level-alpha logarithm l[alpha] as a monomial."""
-    return Monomial(((alpha, ord_add(alpha, ONE), Fraction(1)),))
+    return Monomial(((alpha, ord_add(alpha, ONE), 1),))
 
 
 def hyperlog_deriv(alpha: Ordinal) -> Monomial:
     """The exact derivative of l[alpha]: the product of l[b]^-1 for b < alpha."""
     if alpha == ZERO:
         return MONE
-    return Monomial(((ZERO, alpha, Fraction(-1)),))
+    return Monomial(((ZERO, alpha, -1),))
 
 
 def hyperlog_dagger(alpha: Ordinal) -> Monomial:
     """The logarithmic derivative of l[alpha]: product of l[b]^-1 for b <= alpha."""
-    return Monomial(((ZERO, ord_add(alpha, ONE), Fraction(-1)),))
+    return Monomial(((ZERO, ord_add(alpha, ONE), -1),))
 
 
 def mono_shift(a: Monomial, gamma: Ordinal) -> Monomial:

@@ -2,7 +2,8 @@
 
 An ordinal is stored as a tuple of (exponent, coefficient) pairs with strictly
 decreasing exponents and coefficients >= 1; the empty tuple is 0.  The form is
-canonical, so structural equality is ordinal equality.
+canonical, so structural equality is ordinal equality, and equal ordinals are
+interned to one instance: an Ordinal compares and hashes by identity, in C.
 
 TokenReader here is the package's one token reader: parse_ordinal reads with
 it, and cli.Parser, the expression grammar, is its subclass.
@@ -19,12 +20,11 @@ from .errors import NestingTooDeep
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Ordinal:
     terms: tuple = ()  # ((exponent: Ordinal, coefficient: int), ...)
 
-    # Equal ordinals are interned to one instance, its field set once in
-    # __new__, so that hot paths can short-circuit on object identity.
+    # one interned instance per value, its field set once in __new__
     _interned = {}
 
     def __new__(cls, terms=()):
@@ -58,14 +58,6 @@ class Ordinal:
 
     def __str__(self):
         return format_ordinal(self)
-
-    def __hash__(self):
-        # hashing is hot; cache the recursive tuple hash per instance
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(self.terms))
-            return self._hash
 
     def __reduce__(self):
         # copies and pickles go through __new__ and so get the interned instance

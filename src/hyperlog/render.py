@@ -144,6 +144,8 @@ def monomial_from_json(data) -> Monomial:
 
 
 def series_from_json(data) -> Series:
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object: %s" % type(data).__name__)
     if data.get("schema") != SCHEMA:
         raise ValueError("unknown schema: %r" % data.get("schema"))
     if data.get("kind") != "series":
@@ -154,6 +156,8 @@ def series_from_json(data) -> Series:
         bound = None if data["bound"] is None else monomial_from_json(data["bound"])
     except KeyError as err:
         raise ValueError("series payload without %s" % err) from None
+    except TypeError:  # a list, string or number where another type belongs
+        raise ValueError("series payload with a value of the wrong type") from None
     return make_series(terms, bound)
 
 

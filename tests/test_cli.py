@@ -255,6 +255,27 @@ def test_json_rejects_foreign_payloads():
         series_from_json({"schema": "hyperlog/1", "kind": "series", "terms": []})
 
 
+def _payload(terms):
+    return {"schema": "hyperlog/1", "kind": "series", "terms": terms,
+            "bound": None}
+
+
+def test_json_rejects_a_payload_that_is_not_an_object():
+    with pytest.raises(ValueError, match="not a JSON object: list"):
+        series_from_json([_payload([])])
+
+
+def test_json_rejects_a_term_that_is_a_number():
+    with pytest.raises(ValueError, match="wrong type"):
+        series_from_json(_payload([3]))
+
+
+def test_json_rejects_a_piece_bound_that_is_a_number():
+    piece = {"from": 0, "to": "1", "exp": "1"}
+    with pytest.raises(ValueError, match="wrong type"):
+        series_from_json(_payload([{"monomial": [piece], "coeff": "1"}]))
+
+
 def test_text_format_parses_back(rng):
     for _ in range(100):
         f = _random_json_series(rng)

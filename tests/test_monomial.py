@@ -12,6 +12,7 @@ from hyperlog import (MONE, IdentityMonomial, Monomial, OMEGA, ONE, X, ZERO,
                       mono_compare, mono_min_support, mono_mul, mono_pow,
                       mono_shift, mono_split, omega_pow, ord_add, ordinal)
 from hyperlog.monomial import EQ, GT, LT, exponent_at, mono_max
+from hyperlog.render import monomial_from_json, monomial_to_json
 
 from conftest import rand_finite_monomial
 import random
@@ -259,9 +260,12 @@ def test_mono_mul_cancels_and_merges():
 
 
 def test_building_an_interned_monomial_keeps_its_pieces():
-    # equal pieces with an int exponent give the interned X, unchanged
+    # equal pieces with an int or a Fraction exponent give the interned X,
+    # which keeps its integral exponent as an int
     assert Monomial(((ZERO, ONE, 1),)) is X
-    assert type(X.pieces[0][2]) is Fraction
+    assert type(X.pieces[0][2]) is int
+    assert Monomial(((ZERO, ONE, Fraction(1)),)) is X
+    assert type(X.pieces[0][2]) is int
 
 
 def test_copies_and_pickles_are_the_interned_instances():
@@ -271,3 +275,54 @@ def test_copies_and_pickles_are_the_interned_instances():
             assert clone is value
     assert MONE.pieces == () and ZERO.terms == ()
     assert X.pieces == ((ZERO, ONE, Fraction(1)),)
+
+
+# --- canonical exponents and one object per value ----------------------------
+
+@st.composite
+def fraction_pieces(draw):
+    """Canonical pieces with Fraction exponents, integral and rational, over
+    levels up to w^w*2; the first exponent is drawn from a wide range, so
+    that the value is rarely interned already."""
+    cuts = sorted(draw(st.lists(st.sampled_from(LEVELS), min_size=2,
+                                max_size=7, unique=True)), key=lambda o: o.key)
+    exps = [draw(st.integers(-10**9, 10**9).filter(bool))]
+    for _ in cuts[2:]:
+        exps.append(draw(st.sampled_from(
+            [e for e in EXPONENTS if e and e != exps[-1]])))
+    return [(lo, hi, Fraction(e)) for lo, hi, e in zip(cuts, cuts[1:], exps)]
+
+
+def _has_canonical_exponents(m):
+    return all(type(e) is (int if e.denominator == 1 else Fraction)
+               for _, _, e in m.pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_pieces(), level_monomials(), st.sampled_from(EXPONENTS[2:]),
+       st.sampled_from(LEVELS))
+def test_integral_exponents_are_ints_and_equal_values_one_object(
+        pieces, b, t, level):
+    direct = Monomial(tuple(pieces))  # built first, so usually not interned
+    a = make_monomial(pieces)
+    with_ints = make_monomial([(lo, hi, e.numerator if e.denominator == 1
+                                else e) for lo, hi, e in pieces])
+    assert direct is a and with_ints is a and hash(with_ints) == hash(direct)
+    low, high = mono_split(a, level)
+    outputs = [a, b, mono_mul.__wrapped__(a, b), mono_pow(a, t),
+               mono_pow(a, Fraction(t)), mono_shift(a, level), low, high,
+               monomial_from_json(monomial_to_json(a)), hyperlog(level),
+               hyperlog_deriv(level), hyperlog_dagger(level)]
+    for m in outputs:
+        assert _has_canonical_exponents(m), m
+        as_fractions = [(lo, hi, Fraction(e)) for lo, hi, e in m.pieces]
+        assert Monomial(tuple(as_fractions)) is m
+        assert make_monomial(as_fractions) is m
+    # the same values along other paths are the same objects
+    assert mono_mul.__wrapped__(low, high) is a
+    assert mono_pow(mono_pow(a, t), 1 / Fraction(t)) is a
+    assert mono_mul.__wrapped__(mono_pow(a, -1), mono_mul(a, b)) is b
+    assert monomial_from_json(monomial_to_json(a)) is a
+    dagger = mono_mul(hyperlog_deriv(level), mono_pow(hyperlog(level), -1))
+    assert dagger is hyperlog_dagger(level)
+    assert hash(dagger) == hash(hyperlog_dagger(level))
