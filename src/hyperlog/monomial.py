@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import EmptyInterval, IdentityMonomial
 from .ordinal import (EQ, GT, LT, ONE, ZERO, Ordinal, ord_add, ord_compare)
@@ -124,14 +125,16 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not b.pieces:
         return a
     # sweep both canonical maps' breakpoints; drop zero sums, merge neighbours
+    # events lead with their point's key, so the sort calls no Python; it is
+    # stable, so the events of one operand at one point keep their order
     events = []
     for which, m in enumerate((a, b)):
         for lo, hi, e in m.pieces:
-            events.append((lo, which, e))
-            events.append((hi, which, 0))
-    events.sort(key=lambda p: p[0].key)
+            events.append((lo.key, lo, which, e))
+            events.append((hi.key, hi, which, 0))
+    events.sort(key=itemgetter(0))
     pieces, cur, prev = [], [0, 0], None
-    for point, which, e in events:
+    for _, point, which, e in events:
         if prev is not None and prev is not point:
             s = cur[0] + cur[1]
             if type(s) is not int:

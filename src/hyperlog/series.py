@@ -22,8 +22,10 @@ below it: ser_mul(a, b, floor) and ser_pow(a, t, prec, floor) stop their
 rows and their expansions there.
 
 make_series sorts terms by Monomial.key.  Its inputs arrive as descending
-runs (the two operands of ser_add, one series in with_bound, the rows of
-ser_mul), and the sort finds those runs and merges them.
+runs (the two operands of ser_add, one series in with_bound), and the sort
+finds those runs and merges them.  ser_mul merges its products itself, as
+integer numerators over one common denominator, and builds one Fraction per
+result term.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
+from math import lcm
 
 from .errors import (BadPrecision, IndeterminateDominant, IndeterminateSign,
                      IndeterminateSplit, IrrationalConstantPower, NonMonicLog,
@@ -155,18 +158,30 @@ def ser_mul(a: Series, b: Series, floor: Monomial | None = None) -> Series:
         bound = _join_bounds(bound, mono_mul(b.terms[0][0], a.bound))
     if a.bound is not None and b.bound is not None:
         bound = _join_bounds(bound, mono_mul(a.bound, b.bound))
-    cross = []
-    for ma, ca in a.terms:
+    # integer numerators over one common denominator: no Fraction per product
+    da, na = _over_common_denominator(a.terms)
+    db, nb = _over_common_denominator(b.terms)
+    acc = {}
+    for ma, ca in na:
         # terms descend, so each row of products descends: stop below the bound
-        if bound is not None and b.terms and \
-                mono_compare(mono_mul(ma, b.terms[0][0]), bound) == LT:
+        if bound is not None and nb and \
+                mono_compare(mono_mul(ma, nb[0][0]), bound) == LT:
             break
-        for mb, cb in b.terms:
+        for mb, cb in nb:
             m = mono_mul(ma, mb)
             if bound is not None and mono_compare(m, bound) == LT:
                 break
-            cross.append((m, ca * cb))
-    return make_series(cross, bound)
+            acc[m] = acc[m] + ca * cb if m in acc else ca * cb
+    d = da * db
+    kept = [(m, Fraction(n, d)) for m, n in acc.items() if n]
+    kept.sort(key=lambda t: t[0].key, reverse=True)
+    return Series(tuple(kept), bound)
+
+
+def _over_common_denominator(terms):
+    """(d, [(m, n), ...]) with d the lcm of the denominators and c = n/d."""
+    d = lcm(*(c.denominator for _, c in terms))
+    return d, [(m, c.numerator * (d // c.denominator)) for m, c in terms]
 
 
 def ser_dominant(a: Series):

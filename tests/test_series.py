@@ -4,6 +4,7 @@ Series supported on powers of x alone embed into classical expansions at
 infinity, so sympy's series machinery provides an independent check of the
 inverse, logarithm and power expansions.
 """
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -396,3 +397,66 @@ def test_make_series_matches_a_comparator_sort(pool, data):
     got = make_series(terms, bound)
     assert got == reference_make_series(terms, bound)
     assert all(type(c) is Fraction for _, c in got.terms)
+
+
+# --- ser_mul against products formed as Fractions --------------------------------
+
+BIG = 2**64 + 1
+KERNEL_COEFFS = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3),
+                 Fraction(7, 6), Fraction(1, BIG), Fraction(-1, BIG),
+                 Fraction(BIG, 3), Fraction(5, 2**61 - 1), Fraction(-3, BIG * 7)]
+# x^(i/2)*l[1]^j: products of these coincide often, so terms merge and cancel
+KERNEL_MONOS = [mono_mul(mono_pow(X, Fraction(i, 2)),
+                         mono_pow(hyperlog(ONE_ORD), j))
+                for i in range(-3, 4) for j in (-1, 0, 1)]
+
+
+def reference_mul(a, b, floor):
+    """Every product as a Fraction, merged by make_series, then weakened by
+    the floor and the operands' bounds."""
+    products = [(mono_mul(ma, mb), ca * cb)
+                for ma, ca in a.terms for mb, cb in b.terms]
+    out = with_bound(make_series(products), floor)
+    if b.bound is not None and a.terms:
+        out = with_bound(out, mono_mul(a.terms[0][0], b.bound))
+    if a.bound is not None and b.terms:
+        out = with_bound(out, mono_mul(b.terms[0][0], a.bound))
+    if a.bound is not None and b.bound is not None:
+        out = with_bound(out, mono_mul(a.bound, b.bound))
+    return out
+
+
+@st.composite
+def kernel_operands(draw):
+    """Operands of up to six terms with mixed denominators, bounded or not,
+    bound-only ones included, and a floor or none.  A conjugate pair
+    (p + q)(p - q) makes the cross products cancel to zero."""
+    monos = st.sampled_from(KERNEL_MONOS)
+    coeffs = st.sampled_from(KERNEL_COEFFS)
+
+    def operand():
+        terms = draw(st.lists(st.tuples(monos, coeffs), max_size=6))
+        bound = draw(st.one_of(st.none(), monos))
+        return make_series(terms, bound)
+
+    a = operand()
+    if draw(st.booleans()) and len(a.terms) >= 2:
+        (p, cp), (q, cq) = a.terms[:2]
+        a = Series(((p, cp), (q, cq)), a.bound)
+        b = make_series([(p, cp), (q, -cq)], draw(st.one_of(st.none(), monos)))
+    else:
+        b = operand()
+    floor = draw(st.one_of(st.none(), monos))
+    return a, b, floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_operands())
+def test_ser_mul_matches_products_formed_as_fractions(case):
+    a, b, floor = case
+    got = ser_mul(a, b, floor)
+    assert got == reference_mul(a, b, floor)
+    for _, c in got.terms:
+        assert type(c) is Fraction and c
+        assert c.denominator > 0
+        assert math.gcd(c.numerator, c.denominator) == 1
