@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Profile one benchmark round in-process and print the costliest functions.
+"""Profile benchmark rounds in-process and print the costliest functions.
 
-    python3 scripts/profile_round.py compose --seed 201 [--top 25]
+    python3 scripts/profile_round.py compose --seed 201 202 203 [--top 25]
 
-The script builds round 0 of the workload's inputs for the seed with
+For each seed, the script builds round 0 of the workload's inputs with
 ``bench/workloads.generate`` and parses them, as ``bench/worker.py`` does
 before its timed phase.  Then, under cProfile, it evaluates every input
 through ``bench/worker._operation`` and renders it with
-``render.format_value``, as the timed phase does.  It prints the number of
-inputs and of typed errors and deadlines, then the top functions by self
-time.  cProfile adds a cost to every Python call, so the proportions lean
-towards functions with many short calls: confirm a candidate with
-``bench/run.py`` or ``scripts/bench_pairs.py`` before claiming a gain.
+``render.format_value``, as the timed phase does.  The profiles of all
+seeds are summed.  It prints the number of inputs, of typed errors and
+deadlines and of profiled calls, then the top functions by self time.
+cProfile adds a cost to every Python call, so the proportions lean towards
+functions with many short calls: confirm a candidate with ``bench/run.py``
+or ``scripts/bench_pairs.py`` before claiming a gain.
 """
 from __future__ import annotations
 
@@ -32,7 +33,8 @@ import workloads  # noqa: E402
 def profile_round(workload, seed):
     """Evaluate and render round 0 of the workload under cProfile; returns
     the profile, the number of inputs and the number that did not give a
-    value."""
+    value.  Every call profiles in the same interpreter, so the caches of
+    earlier seeds stay warm for later ones."""
     worker._load_program(ROOT)
     from hyperlog import DomainError, render
     from hyperlog.cli import CliSyntaxError
@@ -59,16 +61,22 @@ def profile_round(workload, seed):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=workloads.WORKLOADS)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1],
+                        help="one or more seeds; their profiles are summed")
     parser.add_argument("--top", type=int, default=25,
                         help="how many functions to print")
     args = parser.parse_args()
 
-    profile, inputs, errors = profile_round(args.workload, args.seed)
-    print("%s, seed %d: %d inputs, %d typed errors or deadlines" % (
-        args.workload, args.seed, inputs, errors))
-    stats = pstats.Stats(profile, stream=sys.stdout).strip_dirs()
-    stats.sort_stats("tottime").print_stats(args.top)
+    stats = pstats.Stats(stream=sys.stdout)
+    inputs = errors = 0
+    for seed in args.seed:
+        profile, n, e = profile_round(args.workload, seed)
+        stats.add(profile)
+        inputs, errors = inputs + n, errors + e
+    print("%s, seed %s: %d inputs, %d typed errors or deadlines, %d calls" % (
+        args.workload, " ".join(map(str, args.seed)), inputs, errors,
+        stats.total_calls))
+    stats.strip_dirs().sort_stats("tottime").print_stats(args.top)
     return 0
 
 

@@ -16,10 +16,10 @@ from .monomial import (MONE, Monomial, hyperlog, hyperlog_dagger,
                        hyperlog_deriv, mono_compare, mono_mul, mono_pow)
 from .ordinal import GT, ONE, Ordinal, ZERO, omega_pow, ord_add, ord_compare
 from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series,
-                     _join_bounds, from_monomial, is_exact_zero, make_series,
-                     ser_compare_zero, ser_dominant, ser_mul, ser_mul_inverse,
-                     ser_mul_mono, ser_neg, ser_sub, support_sum, truncated_sum,
-                     with_bound)
+                     _join_bounds, _recurrence, from_monomial, is_exact_zero,
+                     make_series, ser_compare_zero, ser_dominant, ser_mul,
+                     ser_mul_inverse, ser_mul_mono, ser_sub, support_sum,
+                     truncated_sum, with_bound)
 
 X_INV = mono_pow(hyperlog(ZERO), -1)
 
@@ -102,20 +102,18 @@ def integrate(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     alpha = _integration_level(f)
     u = ser_mul_mono(f, mono_pow(hyperlog_deriv(alpha), -1))
 
-    def corrections():
-        t = u
-        while True:
-            yield t
-            # The correction operator is contractive, so content hidden below
-            # the input bound maps to content hidden below the same bound.
-            bare = Series(t.terms)
-            lifted = _t_series(bare, alpha, prec)
-            t = with_bound(ser_neg(ser_sub(mod_derive(lifted, alpha, prec), bare)),
-                           t.bound)
+    def correct(k, t):
+        # The correction operator is contractive, so content hidden below
+        # the input bound maps to content hidden below the same bound.
+        bare = Series(t.terms)
+        lifted = _t_series(bare, alpha, prec)
+        return with_bound(ser_sub(bare, mod_derive(lifted, alpha, prec)),
+                          t.bound)
 
     # T is strictly monotone on monomials, so lifting the truncated sum puts
     # its bound exactly where lifting each term would
-    return _t_series(truncated_sum(corrections(), prec.budget), alpha, prec)
+    return _t_series(truncated_sum(_recurrence(u, correct), prec.budget),
+                     alpha, prec)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ rationals splits every monomial at the first limit level, turns the low part
 into a product of iterated logarithms, and lifts the high part through the
 three-step shift inverse followed by a Taylor deformation.  Compositional
 inversion peels a scaling term and a monomial factor, then finishes with a
-tangent-to-identity fixed-point iteration.  Every infinite sum here goes
-through series.truncated_sum, which sets its truncation bound.
+tangent-to-identity fixed-point iteration.  Every infinite sum here but
+the Taylor sum is the shared recurrence series._recurrence, and every one
+goes through series.truncated_sum, which sets its truncation bound.
 
 Floors.  One Taylor sum, _taylor_sum of image(D^n w) * e^n / n!, serves the
 deformation around the third iterated logarithm, each step of the inversion
@@ -44,7 +45,7 @@ from .ordinal import (GT, LT, OMEGA, ONE, Ordinal, ZERO, format_frac,
                       lambda_coeff, omega_pow, ord_add, ord_compare, ordinal,
                       ordinal_to_int)
 from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
-                     _dominant_monomial_or_bound, from_const,
+                     _dominant_monomial_or_bound, _recurrence, from_const,
                      from_monomial, is_exact_zero, make_series, rational_pow,
                      ser_add, ser_dominant, ser_log, ser_mul, ser_neg, ser_pow,
                      ser_scale, ser_sub, truncated_sum, with_bound)
@@ -74,16 +75,13 @@ def logarithmicity(g: Series) -> Logarithmicity:
 def _exp_neg_mod_derive(m: Monomial, mu: Ordinal, n: int,
                         prec: Precision) -> Series:
     """Apply the exponential of n times the negated modified derivation."""
-    def terms():
-        t = from_monomial(m)
-        for k in count(1):
-            yield t
-            # supported at or above mu, the operator has infinitesimal
-            # support, so content below t's bound stays below that bound
-            t = ser_scale(with_bound(mod_derive(Series(t.terms), mu, prec),
-                                     t.bound), Fraction(-n, k))
+    def step(k, t):
+        # supported at or above mu, the operator has infinitesimal support,
+        # so content below t's bound stays below that bound
+        return ser_scale(with_bound(mod_derive(Series(t.terms), mu, prec),
+                                    t.bound), Fraction(-n, k))
 
-    return truncated_sum(terms(), prec.budget)
+    return truncated_sum(_recurrence(from_monomial(m), step), prec.budget)
 
 
 def compose_hyperlog_omega(f: Series, beta: Ordinal,
@@ -97,16 +95,16 @@ def compose_hyperlog_omega(f: Series, beta: Ordinal,
     """
     mu = omega_pow(ord_add(beta, ONE))
     shift = Ordinal(((beta, n),))
-    out = S_ZERO
+    parts = []
     for m, c in f.terms:
         low, high = mono_split(m, mu)
         part = from_monomial(mono_shift(low, shift), c)
         if high != MONE:
             part = ser_mul(part, _exp_neg_mod_derive(high, mu, n, prec))
-        out = ser_add(out, part)
+        parts.append(part)
     if f.bound is not None:
-        out = with_bound(out, _hyperlog_image(f.bound, shift))
-    return out
+        parts.append(Series((), _hyperlog_image(f.bound, shift)))
+    return ser_add(*parts)
 
 
 def compose_hyperlog(f: Series, gamma: Ordinal,
@@ -229,14 +227,8 @@ def up3(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     for m, _ in f.terms:
         if m != MONE and ord_compare(mono_min_support(m), OMEGA) == LT:
             raise SupportBelowOmega("support below the first limit level: %r" % m)
-
-    def terms():
-        t = f
-        while True:
-            yield t
-            t = ser_sub(t, compose_hyperlog(t, ordinal(3), prec))
-
-    return truncated_sum(terms(), prec.budget)
+    return truncated_sum(_recurrence(f, lambda k, t: ser_sub(
+        t, compose_hyperlog(t, ordinal(3), prec))), prec.budget)
 
 
 def _taylor_sum(w: Series, e: Series, image, image_dom,
@@ -327,19 +319,18 @@ def _compose_tower(f: Series, tower: LogTower, prec: Precision) -> Series:
     for m, c in f.terms:
         low, high = mono_split(m, OMEGA)
         groups.setdefault(low, []).append((high, c))
-    out = S_ZERO
+    parts = []
     for low, high_terms in groups.items():
         big = make_series(high_terms)
         if len(big.terms) == 1 and big.terms[0][0] == MONE:
             bigval = from_const(big.terms[0][1])
         else:
             bigval = _taylor_deform_tower(up3(big, prec), tower, prec)
-        lowval = _compose_monomial_tower(low, tower)
-        out = ser_add(out, ser_mul(bigval, lowval))
+        parts.append(ser_mul(bigval, _compose_monomial_tower(low, tower)))
     if f.bound is not None:
         image = _compose_tower(from_monomial(f.bound), tower, prec)
-        out = with_bound(out, _dominant_monomial_or_bound(image))
-    return out
+        parts.append(Series((), _dominant_monomial_or_bound(image)))
+    return ser_add(*parts)
 
 
 def taylor_compose(f: Series, g: Series, h: Series,

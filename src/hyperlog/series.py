@@ -8,9 +8,10 @@ Without a bound the series is the listed sum, exactly.
 
 Two rules set a truncation bound, and each job has one of them.  Every
 expansion (inverse, logarithm, power, integration, composition) is an
-infinite sum of terms with strictly decreasing dominants: truncated_sum
-closes it after budget terms with O(the last term), since nothing says
-where such a sum ends.  A support walk (derivative and logarithm of a
+infinite sum of terms with strictly decreasing dominants, all but the Taylor
+sum a recurrence t_k = step(k, t_(k-1)): truncated_sum merges the terms once
+and closes the sum after budget terms with O(the last term), since nothing
+says where such a sum ends.  A support walk (derivative and logarithm of a
 monomial) emits one term per level of the monomial's support: support_sum
 looks one level ahead, so a support of exactly budget levels stays exact
 and only a longer one is closed with O(the last term).
@@ -19,13 +20,14 @@ Floors.  A floor is a bound monomial that the caller attaches to the result
 anyway, known in advance from dominant monomials alone.  An operation given
 a floor returns exactly with_bound(result, floor), but never forms a product
 below it: ser_mul(a, b, floor) and ser_pow(a, t, prec, floor) stop their
-rows and their expansions there.
+rows and their expansions there.  The inverse, the logarithm and the power
+are one power series in eps with one floor rule: when the sum provably
+reaches its n terms, nothing below dom(first) * dom(eps)^(n-1) is formed.
 
 make_series sorts terms by Monomial.key.  Its inputs arrive as descending
-runs (the two operands of ser_add, one series in with_bound), and the sort
-finds those runs and merges them.  ser_mul merges its products itself, as
-integer numerators over one common denominator, and builds one Fraction per
-result term.
+runs (the parts of ser_add), and the sort finds those runs and merges them.
+ser_mul merges its products itself, as integer numerators over one common
+denominator, and builds one Fraction per result term.
 """
 from __future__ import annotations
 
@@ -112,14 +114,20 @@ def _join_bounds(a: Monomial | None, b: Monomial | None) -> Monomial | None:
 
 
 def with_bound(a: Series, bound: Monomial | None) -> Series:
-    """Weaken a by an extra bound monomial."""
+    """Weaken a by an extra bound monomial: cut its terms below the join."""
     if bound is None:
         return a
-    return make_series(a.terms, _join_bounds(a.bound, bound))
+    bound = _join_bounds(a.bound, bound)
+    low = bound.key
+    return Series(tuple(t for t in a.terms if t[0].key >= low), bound)
 
 
-def ser_add(a: Series, b: Series) -> Series:
-    return make_series(a.terms + b.terms, _join_bounds(a.bound, b.bound))
+def ser_add(*parts: Series) -> Series:
+    """The sum of any number of series, merged once."""
+    bound = None
+    for p in parts:
+        bound = _join_bounds(bound, p.bound)
+    return make_series([t for p in parts for t in p.terms], bound)
 
 
 def ser_neg(a: Series) -> Series:
@@ -134,11 +142,15 @@ def ser_scale(a: Series, c) -> Series:
     c = Fraction(c)
     if c == 0:
         return S_ZERO
+    if c == -1:
+        return ser_neg(a)
     return Series(tuple((m, k * c) for m, k in a.terms), a.bound)
 
 
 def ser_mul_mono(a: Series, m: Monomial, c=1) -> Series:
     """Multiply by an exact monomial term c*m."""
+    if a is S_ONE:
+        return from_monomial(m, c)
     c = Fraction(c)
     if c == 0:
         return S_ZERO
@@ -234,43 +246,60 @@ def _split_dominant(a: Series):
 
 
 def truncated_sum(terms, budget: int) -> Series:
-    """Sum series whose dominant monomials strictly decrease.
+    """Sum series whose dominant monomials strictly decrease, merged once.
 
     An exact-zero term, or the end of terms, ends the sum exactly; a term
     with only a bound ends it at that bound; after budget terms the sum is
     closed with O(dominant of the last term), which bounds every term left
     out because the dominants decrease.
     """
-    acc = S_ZERO
-    for n, t in enumerate(terms, 1):
+    parts = []
+    for t in terms:
         if is_exact_zero(t):
             break
-        acc = t if n == 1 else ser_add(acc, t)
+        parts.append(t)
         if not t.terms:
             break
-        if n == budget:
-            return with_bound(acc, t.terms[0][0])
-    return acc
+        if len(parts) == budget:
+            parts.append(Series((), t.terms[0][0]))
+            break
+    return ser_add(*parts)
+
+
+def _recurrence(first: Series, step):
+    """The terms t_0 = first, t_k = step(k, t_(k-1)), formed as pulled."""
+    t = first
+    for k in count(1):
+        yield t
+        t = step(k, t)
+
+
+def _eps_sum(first: Series, eps: Series, ratio, n: int,
+             floor: Monomial | None = None, terminates=False) -> Series:
+    """truncated_sum of t_0 = first, t_k = ratio(k) * t_(k-1) * eps, n terms.
+
+    eps is infinitesimal, and an exact-zero eps leaves first exact.  Unless
+    a ratio vanishes (terminates), a sum whose eps has a term reaches n terms
+    and closes at dom(first) * dom(eps)^(n-1): nothing below it is formed.
+    ratio(k) is called only as the k-th term is pulled.
+    """
+    if is_exact_zero(eps):
+        return first
+    if eps.terms and not terminates:
+        floor = _join_bounds(floor, mono_mul(first.terms[0][0],
+                                             mono_pow(eps.terms[0][0], n - 1)))
+
+    def step(k, t):
+        r = ratio(k)
+        return ser_scale(ser_mul(t, eps, floor), r) if r else S_ZERO
+
+    return truncated_sum(_recurrence(first, step), n)
 
 
 def ser_mul_inverse(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Multiplicative inverse by the geometric expansion of the tail."""
     m, c, eps = _split_dominant(a)
-    if is_exact_zero(eps):
-        return from_monomial(mono_pow(m, -1), Fraction(1) / c)
-    # eps is infinitesimal, so everything below its budget-th power is
-    # truncated at the end; pruning early keeps the cross products small
-    pre = None
-    if eps.terms and prec.budget > 1:
-        pre = mono_pow(eps.terms[0][0], prec.budget - 1)
-
-    def powers():
-        t = S_ONE
-        while True:
-            yield t
-            t = ser_neg(ser_mul(t, eps, pre))
-
-    return ser_mul_mono(truncated_sum(powers(), prec.budget),
+    return ser_mul_mono(_eps_sum(S_ONE, eps, lambda k: -1, prec.budget),
                         mono_pow(m, -1), Fraction(1) / c)
 
 
@@ -304,18 +333,9 @@ def ser_log(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     if c != 1:
         raise NonMonicLog("leading coefficient %s is not 1" % format_frac(c))
     _, _, eps = _split_dominant(a)
-    out = log_monomial(m, prec)
-    if is_exact_zero(eps):
-        return out
-    pre = mono_pow(eps.terms[0][0], prec.budget) if eps.terms else None
-
-    def terms():
-        t = S_ONE
-        for n in count(1):
-            t = ser_mul(t, eps, pre)
-            yield ser_scale(t, Fraction((-1) ** (n - 1), n))
-
-    return ser_add(out, truncated_sum(terms(), prec.budget))
+    return ser_add(log_monomial(m, prec),
+                   _eps_sum(eps, eps, lambda k: Fraction(-k, k + 1),
+                            prec.budget))
 
 
 def rational_pow(c: Fraction, t: Fraction) -> Fraction | None:
@@ -358,29 +378,12 @@ def ser_pow(a: Series, t, prec: Precision = DEFAULT_PRECISION,
         raise IrrationalConstantPower("%s**%s is irrational"
                                       % (format_frac(c), format_frac(t)))
     _, _, eps = _split_dominant(a)
-    if is_exact_zero(eps):
-        return with_bound(from_monomial(mono_pow(m, t), ct), floor)
+    # a natural t <= budget ends the binomial series by a vanishing ratio
     terminating = t.denominator == 1 and 0 <= t <= prec.budget
-    pre = None
-    if eps.terms and not terminating:
-        pre = mono_pow(eps.terms[0][0], prec.budget)
-    if floor is not None:
-        pre = _join_bounds(pre, mono_mul(floor, mono_pow(m, -t)))
-
-    def terms():
-        # 1, then the binomial terms; a terminating series ends itself
-        yield S_ONE
-        p = S_ONE
-        coeff = Fraction(1)
-        for n in count(1):
-            coeff = coeff * (t - (n - 1)) / n
-            if coeff == 0:
-                return
-            p = ser_mul(p, eps, pre)
-            yield ser_scale(p, coeff)
-
-    return with_bound(ser_mul_mono(truncated_sum(terms(), prec.budget + 1),
-                                   mono_pow(m, t), ct), floor)
+    rel = None if floor is None else mono_mul(floor, mono_pow(m, -t))
+    s = _eps_sum(S_ONE, eps, lambda k: (t - (k - 1)) / k, prec.budget + 1,
+                 rel, terminating)
+    return with_bound(ser_mul_mono(s, mono_pow(m, t), ct), floor)
 
 
 def ser_parts(a: Series):
