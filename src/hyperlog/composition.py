@@ -19,18 +19,26 @@ is a product of dominant monomials.  When e has a term and D^0 w ...
 D^(budget-1) w all have terms, the sum provably reaches the budget, so F is
 computed first: a term m of D^n w with image_dom(m) below F / dom(e)^n is
 dropped before it is composed, and no product below F is formed; otherwise
-the sum may end exactly, and no floor is set.  A monomial with an infinite
-[n, omega) piece ends in a factor whose bound cuts the product at its
-dominant times rel = dom(eps) * x, eps being the tower's last logarithm less
-its exact hyperlogarithm; when rel < 1 every partial product and every power
-of a logarithm is cut there too.  The floors are bounds the result carries
-anyway; a dropped term takes away only its image's own bound, which can lie
-above the image's true dominant (the [n, omega) tail bound).
+the sum may end exactly, and no floor is set.  A composition given a floor
+returns exactly with_bound(image, floor) and forms no product below it:
+_taylor_sum hands image the floor F / dom(e^n); _compose_tower cuts each
+part at the running bound, the floor joined with the bounds of the parts
+before it, below which the closing ser_add drops everything anyway; and
+_compose_monomial_tower cuts partial product k at floor / upper(rest), the
+product over the factors still to come of the larger of dominant and bound.
+A monomial with an infinite [n, omega) piece ends in a factor whose bound
+lies at its dominant times rel = dom(eps) * x, eps being the tower's last
+logarithm less its exact hyperlogarithm; when rel < 1 the product's floor
+joins its dominant * rel, and each power of a logarithm is cut at its own
+dominant * rel.  The floors are bounds the result carries anyway; a
+dropped term takes away only its image's own bound, which can lie above the
+image's true dominant (the [n, omega) tail bound).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import count
 from math import factorial
 
@@ -39,16 +47,17 @@ from .errors import (HNotSmaller, IrrationalConstantPower, NotGreaterThanR,
                      NotInvertible, SupportBelowOmega, ZeroSeries)
 from .monomial import (MONE, Monomial, X, exponent_at, hyperlog,
                        hyperlog_deriv, make_monomial, mono_compare,
-                       mono_min_support, mono_mul, mono_pow, mono_shift,
-                       mono_split)
+                       mono_max, mono_min_support, mono_mul, mono_pow,
+                       mono_shift, mono_split)
 from .ordinal import (GT, LT, OMEGA, ONE, Ordinal, ZERO, format_frac,
                       lambda_coeff, omega_pow, ord_add, ord_compare, ordinal,
                       ordinal_to_int)
 from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
-                     _dominant_monomial_or_bound, _recurrence, from_const,
-                     from_monomial, is_exact_zero, make_series, rational_pow,
-                     ser_add, ser_dominant, ser_log, ser_mul, ser_neg, ser_pow,
-                     ser_scale, ser_sub, truncated_sum, with_bound)
+                     _dominant_monomial_or_bound, _join_bounds, _recurrence,
+                     from_const, from_monomial, is_exact_zero, make_series,
+                     rational_pow, ser_add, ser_dominant, ser_log, ser_mul,
+                     ser_neg, ser_pow, ser_scale, ser_sub, truncated_sum,
+                     with_bound)
 
 X_SERIES = from_monomial(X)
 
@@ -184,32 +193,48 @@ def _tower_walk(m: Monomial, tower: LogTower):
     return factors, cut, tail
 
 
-def _compose_monomial_tower(m: Monomial, tower: LogTower) -> Series:
-    """Compose a monomial with support below the first limit level."""
+def _compose_monomial_tower(m: Monomial, tower: LogTower,
+                            floor: Monomial | None = None) -> Series:
+    """Compose a monomial with support below the first limit level.
+
+    Returns with_bound(image, floor), forming no product below the floor.
+    """
     factors, cut, tail = _tower_walk(m, tower)
-    factor = rel = None
+    last, rel = [], None
     if tail is not None:
         # infinite tail: explicit factors, then the exact remainder monomial
         eps = ser_sub(tower.log(cut), from_monomial(hyperlog(mono_min_support(tail))))
         if is_exact_zero(eps):
-            factor = from_monomial(tail)
+            last = [(from_monomial(tail), tail)]
         else:
             rel = mono_mul(_dominant_monomial_or_bound(eps), X)
-            factor = Series(((tail, Fraction(1)),), mono_mul(tail, rel))
+            bound = mono_mul(tail, rel)
+            # with rel >= 1 the bound lies above the factor's only term
+            last = [(Series(((tail, Fraction(1)),), bound), mono_max(tail, bound))]
             if mono_compare(rel, MONE) != LT:
                 rel = None
-    result = S_ONE
+    # (factor, the larger of its dominant and its bound), formed in walk
+    # order so that the first error raised stays the first
+    parts = []
     for n, r in factors:
-        if rel is None:
-            result = ser_mul(result, tower.log_pow(n, r))
-        else:
-            # the tail factor's bound cuts the product at its dominant * rel
-            dom = mono_pow(ser_dominant(tower.log(n))[0], r)
-            floor = mono_mul(mono_mul(result.terms[0][0], dom), rel)
-            result = ser_mul(result, tower.log_pow(n, r, mono_mul(dom, rel)),
-                             floor)
-    if factor is not None:
-        result = ser_mul(result, factor)
+        # the tail factor's bound cuts each power at its dominant * rel
+        p = tower.log_pow(n, r, rel and mono_mul(
+            mono_pow(ser_dominant(tower.log(n))[0], r), rel))
+        parts.append((p, p.terms[0][0]))
+    parts += last
+    if not parts:
+        return with_bound(S_ONE, floor)
+    if rel is not None:
+        # ... and the product at its dominant * rel
+        floor = _join_bounds(floor, reduce(mono_mul, (u for _, u in parts), rel))
+    # what partial product k meets lies at or below upper(rest), the product
+    # of the uppers after it: cut it at floor / upper(rest)
+    cuts = [floor] * len(parts)
+    for k in range(len(parts) - 1, 0, -1):
+        cuts[k - 1] = floor and mono_mul(cuts[k], mono_pow(parts[k][1], -1))
+    result = with_bound(parts[0][0], cuts[0])
+    for (p, _), c in zip(parts[1:], cuts[1:]):
+        result = ser_mul(result, p, c)
     return result
 
 
@@ -235,12 +260,14 @@ def _taylor_sum(w: Series, e: Series, image, image_dom,
                 prec: Precision) -> Series:
     """The Taylor sum of image(D^n w) * e^n / n! over n >= 0.
 
-    It serves _taylor_deform_tower, invert and taylor_compose.  image maps
-    a series to its composition with the point the sum expands around, and
-    image_dom maps a monomial to the dominant monomial of its image.  When
-    the sum provably reaches the budget, its final bound F is known from
-    dominants: a term m of D^n w with image_dom(m) below F / dom(e)^n is
-    dropped before image is called, e^n is cut at F / image_dom(dom D^n w),
+    It serves _taylor_deform_tower, invert and taylor_compose.  image(t,
+    floor) maps a series to its composition with the point the sum expands
+    around, cut like with_bound at a floor that is not None (the identity
+    ignores it), and image_dom maps a monomial to the dominant monomial of
+    its image.  When the sum provably reaches the budget, its final bound F
+    is known from dominants: a term m of D^n w with image_dom(m) below
+    F / dom(e)^n is dropped before image is called, image is given the floor
+    F / dom(e^n) when e^n has a term, e^n is cut at F / image_dom(dom D^n w),
     and every term of the sum is cut at F.
     """
     budget = prec.budget
@@ -261,14 +288,14 @@ def _taylor_sum(w: Series, e: Series, image, image_dom,
                 dn = derivs[n] if n < len(derivs) else derive(dn, prec)
                 epow = ser_mul(epow, e, floor and mono_mul(
                     floor, mono_pow(image_dom(dn.terms[0][0]), -1)))
-            part = dn
+            part, low = dn, None
             if floor is not None:
                 # F covers the terms whose image times e^n lies below it
                 low = mono_mul(floor, mono_pow(e.terms[0][0], -n))
                 part = Series(tuple(t for t in dn.terms if mono_compare(
                     image_dom(t[0]), low) != LT), dn.bound)
-            yield ser_scale(ser_mul(image(part), epow, floor),
-                            Fraction(1, factorial(n)))
+            yield ser_scale(ser_mul(image(part, low if epow.terms else None), epow,
+                                    floor), Fraction(1, factorial(n)))
 
     return truncated_sum(terms(), budget)
 
@@ -280,8 +307,9 @@ def _taylor_deform_tower(phi: Series, tower: LogTower,
     eps = ser_sub(tower.log(3), from_monomial(hyperlog(level)))
     if is_exact_zero(eps):
         return compose_hyperlog(phi, level, prec)
-    return _taylor_sum(phi, eps, lambda t: compose_hyperlog(t, level, prec),
-                       lambda m: _hyperlog_image(m, level), prec)
+    return _taylor_sum(
+        phi, eps, lambda t, cut: with_bound(compose_hyperlog(t, level, prec), cut),
+        lambda m: _hyperlog_image(m, level), prec)
 
 
 def taylor_deform(phi: Series, g: Series,
@@ -312,23 +340,35 @@ def compose(f: Series, g: Series,
     return _compose_tower(f, LogTower(g, prec), prec)
 
 
-def _compose_tower(f: Series, tower: LogTower, prec: Precision) -> Series:
+def _compose_tower(f: Series, tower: LogTower, prec: Precision,
+                   floor: Monomial | None = None) -> Series:
+    """compose(f, g) for the tower's base g, as with_bound(image, floor)."""
     if tower.levels[0] == X_SERIES:
-        return f
+        return with_bound(f, floor)
     groups = {}
     for m, c in f.terms:
         low, high = mono_split(m, OMEGA)
         groups.setdefault(low, []).append((high, c))
-    parts = []
+    # the sum drops what lies below the join of its parts' bounds, so each
+    # part is cut at the floor joined with the bounds of the parts before it
+    run = floor
+    parts = [Series((), floor)]
     for low, high_terms in groups.items():
         big = make_series(high_terms)
         if len(big.terms) == 1 and big.terms[0][0] == MONE:
-            bigval = from_const(big.terms[0][1])
+            part = ser_scale(_compose_monomial_tower(low, tower, run),
+                             big.terms[0][1])
         else:
             bigval = _taylor_deform_tower(up3(big, prec), tower, prec)
-        parts.append(ser_mul(bigval, _compose_monomial_tower(low, tower)))
+            cut = run and mono_mul(run, mono_pow(
+                _dominant_monomial_or_bound(bigval), -1))
+            part = ser_mul(bigval, _compose_monomial_tower(low, tower, cut),
+                           run)
+        parts.append(part)
+        run = _join_bounds(run, part.bound)
     if f.bound is not None:
-        image = _compose_tower(from_monomial(f.bound), tower, prec)
+        # only the image's dominant, or its bound, joins the sum's bound
+        image = _compose_tower(from_monomial(f.bound), tower, prec, run)
         parts.append(Series((), _dominant_monomial_or_bound(image)))
     return ser_add(*parts)
 
@@ -345,7 +385,7 @@ def taylor_compose(f: Series, g: Series, h: Series,
     elif h.bound is not None and mono_compare(h.bound, mg) == 1:
         raise HNotSmaller("increment bound is not below the base")
     tower = LogTower(g, prec)
-    return _taylor_sum(f, h, lambda t: _compose_tower(t, tower, prec),
+    return _taylor_sum(f, h, lambda t, cut: _compose_tower(t, tower, prec, cut),
                        lambda m: _dominant_image(m, tower), prec)
 
 
@@ -379,7 +419,8 @@ def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     delta = None
     for _ in range(prec.budget):
         # w at x + e, by the Taylor sum around the identity
-        e_new = ser_neg(_taylor_sum(w, e, lambda v: v, lambda m: m, prec))
+        # the identity image has nothing to save by a cut
+        e_new = ser_neg(_taylor_sum(w, e, lambda v, cut: v, lambda m: m, prec))
         delta = ser_sub(e_new, e)
         e = e_new
         if is_exact_zero(delta):

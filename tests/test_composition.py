@@ -1,5 +1,6 @@
 """Composition with hyperlogarithms and with general series arguments."""
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import count
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hyperlog import (HNotSmaller, IrrationalConstantPower, Logarithmicity,
+from hyperlog import (DomainError, HNotSmaller, IrrationalConstantPower,
+                      Logarithmicity,
                       MONE, NotGreaterThanR, NotInvertible, OMEGA, ONE,
                       Precision, SupportBelowOmega, X, ZERO, compose,
                       compose_hyperlog, compose_hyperlog_omega, derive,
@@ -21,11 +23,13 @@ from hyperlog import (HNotSmaller, IrrationalConstantPower, Logarithmicity,
                       ser_mul_inverse, ser_scale, ser_sub, taylor_compose,
                       taylor_deform)
 from hyperlog.cli import eval_text
-from hyperlog.composition import (LogTower, _compose_tower, _dominant_image,
+from hyperlog.composition import (LogTower, _compose_monomial_tower,
+                                  _compose_tower, _dominant_image,
                                   _hyperlog_image, up3)
 from hyperlog.ordinal import GT
 from hyperlog.render import format_value
-from hyperlog.series import S_ONE, S_ZERO, truncated_sum
+from hyperlog.series import (S_ONE, S_ZERO, make_series, truncated_sum,
+                             with_bound)
 
 from conftest import rand_composable, rand_series
 
@@ -135,6 +139,61 @@ def test_dominant_image_is_the_dominant_of_the_tower_composition(low, high, g,
     # dominant to compare
     assume(image.terms)
     assert _dominant_image(m, tower) == ser_dominant(image)[0]
+
+
+def _floors(image):
+    """Monomials at, between, above and below those of image and its bound."""
+    ms = [m for m, _ in image.terms] + [image.bound] * (image.bound is not None)
+    if not ms:
+        return [X, MONE]
+    between = [mono_pow(mono_mul(a, b), Fraction(1, 2)) for a, b in zip(ms, ms[1:])]
+    return ms + between + [mono_mul(ms[0], X), mono_mul(ms[-1], mono_pow(X, -1))]
+
+
+def _floored_matches(form, data):
+    """form(floor) is with_bound(form(None), floor), or the same error."""
+    try:
+        want = form(None)
+    except DomainError as err:
+        with pytest.raises(type(err), match="^%s$" % re.escape(str(err))):
+            form(data.draw(st.sampled_from([X, MONE])))
+        return
+    floor = data.draw(st.sampled_from(_floors(want)))
+    assert form(floor) == with_bound(want, floor)
+
+
+# bases whose logarithms differ from l[lam + n] by 1/x or more (x*l[1],
+# l[1] + 2) or hide below a bound (x + O(1)), and one with a non-monic log
+_FLOOR_BASES = ["x", "x + 1", "x + l[1] + 1", "x*l[1]", "l[1] + 2", "x + O(1)",
+                "2*x + 1"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_monomials(), st.sampled_from(_FLOOR_BASES), st.integers(1, 6),
+       st.data())
+def test_a_floored_monomial_composition_is_the_full_one_cut(m, g, budget, data):
+    prec = Precision(budget)
+    tower = LogTower(eval_text(g), prec)
+    _floored_matches(lambda floor: _compose_monomial_tower(m, tower, floor),
+                     data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(tower_monomials(),
+                          st.sampled_from(["1", "1", "l[w]", "l[w]^-1",
+                                           "l[w+1]^2", "l[w^2]"]),
+                          st.sampled_from([Fraction(k, 2) for k in
+                                           (-3, -2, 1, 2, 3)])),
+                min_size=0, max_size=3),
+       st.one_of(st.none(), tower_monomials()),
+       st.sampled_from(_FLOOR_BASES), st.integers(1, 6), st.data())
+def test_a_floored_composition_is_the_full_one_cut(terms, bound, g, budget,
+                                                   data):
+    f = make_series([(mono_mul(low, eval_text(high).terms[0][0]), c)
+                     for low, high, c in terms], bound)
+    prec = Precision(budget)
+    tower = LogTower(eval_text(g), prec)
+    _floored_matches(lambda floor: _compose_tower(f, tower, prec, floor), data)
 
 
 def test_compose_matches_hyperlog_path():
