@@ -15,11 +15,11 @@ from functools import lru_cache
 from .monomial import (MONE, Monomial, hyperlog, hyperlog_dagger,
                        hyperlog_deriv, mono_compare, mono_mul, mono_pow)
 from .ordinal import GT, ONE, Ordinal, ZERO, omega_pow, ord_add, ord_compare
-from .series import (DEFAULT_PRECISION, Precision, S_ZERO, Series,
-                     _join_bounds, _recurrence, from_monomial, is_exact_zero,
-                     make_series, ser_compare_zero, ser_dominant, ser_mul,
-                     ser_mul_inverse, ser_mul_mono, ser_sub, support_sum,
-                     truncated_sum, with_bound)
+from .series import (DEFAULT_PRECISION, POS, Precision, S_ZERO, Series,
+                     ZEROSIGN, _join_bounds, _recurrence, from_monomial,
+                     is_exact_zero, make_series, ser_compare_zero,
+                     ser_dominant, ser_mul, ser_mul_inverse, ser_mul_mono,
+                     ser_sub, support_sum, truncated_sum, with_bound)
 
 X_INV = mono_pow(hyperlog(ZERO), -1)
 
@@ -124,12 +124,8 @@ class HFieldFacts:
 
 def hfield_facts(f: Series, prec: Precision = DEFAULT_PRECISION) -> HFieldFacts:
     """Whether f exceeds every rational constant, and the sign of its derivative."""
-    if is_exact_zero(f):
+    sign = ser_compare_zero(f)
+    if sign == ZEROSIGN:
         return HFieldFacts(False, 0)
-    if f.terms:
-        m, c = f.terms[0]
-        infinite = mono_compare(m, MONE) == 1 and c > 0
-    else:
-        from .errors import IndeterminateSign
-        raise IndeterminateSign("sign hidden below the bound")
+    infinite = mono_compare(f.terms[0][0], MONE) == 1 and sign == POS
     return HFieldFacts(infinite, ser_compare_zero(derive(f, prec)))

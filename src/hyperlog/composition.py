@@ -7,9 +7,11 @@ rationals splits every monomial at the first limit level, turns the low part
 into a product of iterated logarithms, and lifts the high part through the
 three-step shift inverse followed by a Taylor deformation.  Compositional
 inversion peels a scaling term and a monomial factor, then finishes with a
-tangent-to-identity fixed-point iteration.  Every infinite sum here but
+tangent-to-identity fixed point: x plus the truncated sum of the increments
+of its iterates, which gain an order each.  Every infinite sum here but
 the Taylor sum is the shared recurrence series._recurrence, and every one
-goes through series.truncated_sum, which sets its truncation bound.
+goes through series.truncated_sum, which sets its truncation bound.  An
+exact-zero increment returns in one place, at the top of _taylor_sum.
 
 Floors.  One Taylor sum, _taylor_sum of image(D^n w) * e^n / n!, serves the
 deformation around the third iterated logarithm, each step of the inversion
@@ -21,11 +23,13 @@ computed first: a term m of D^n w with image_dom(m) below F / dom(e)^n is
 dropped before it is composed, and no product below F is formed; otherwise
 the sum may end exactly, and no floor is set.  A composition given a floor
 returns exactly with_bound(image, floor) and forms no product below it:
-_taylor_sum hands image the floor F / dom(e^n); _compose_tower cuts each
-part at the running bound, the floor joined with the bounds of the parts
-before it, below which the closing ser_add drops everything anyway; and
-_compose_monomial_tower cuts partial product k at floor / upper(rest), the
-product over the factors still to come of the larger of dominant and bound.
+_taylor_sum hands image the floor F / dom(e^n); each group of
+_compose_tower, the terms that share a low part, is one product led by the
+value of its high part and cut at the running bound, the floor joined with
+the bounds of the groups before it, below which the closing ser_add drops
+everything anyway; and _compose_monomial_tower forms that product, cutting
+partial product k at floor / upper(rest), the product over the factors
+still to come of the larger of dominant and bound.
 A monomial with an infinite [n, omega) piece ends in a factor whose bound
 lies at its dominant times rel = dom(eps) * x, eps being the tower's last
 logarithm less its exact hyperlogarithm; when rel < 1 the product's floor
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import count
+from itertools import count, pairwise
 from math import factorial
 
 from .calculus import derive, integrate, mod_derive
@@ -56,8 +60,8 @@ from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
                      _dominant_monomial_or_bound, _join_bounds, _recurrence,
                      from_const, from_monomial, is_exact_zero, make_series,
                      rational_pow, ser_add, ser_dominant, ser_log, ser_mul,
-                     ser_neg, ser_pow, ser_scale, ser_sub, truncated_sum,
-                     with_bound)
+                     ser_mul_mono, ser_neg, ser_pow, ser_scale, ser_sub,
+                     truncated_sum, with_bound)
 
 X_SERIES = from_monomial(X)
 
@@ -107,10 +111,8 @@ def compose_hyperlog_omega(f: Series, beta: Ordinal,
     parts = []
     for m, c in f.terms:
         low, high = mono_split(m, mu)
-        part = from_monomial(mono_shift(low, shift), c)
-        if high != MONE:
-            part = ser_mul(part, _exp_neg_mod_derive(high, mu, n, prec))
-        parts.append(part)
+        exp = _exp_neg_mod_derive(high, mu, n, prec) if high != MONE else S_ONE
+        parts.append(ser_mul_mono(exp, mono_shift(low, shift), c))
     if f.bound is not None:
         parts.append(Series((), _hyperlog_image(f.bound, shift)))
     return ser_add(*parts)
@@ -194,10 +196,12 @@ def _tower_walk(m: Monomial, tower: LogTower):
 
 
 def _compose_monomial_tower(m: Monomial, tower: LogTower,
-                            floor: Monomial | None = None) -> Series:
-    """Compose a monomial with support below the first limit level.
+                            floor: Monomial | None = None,
+                            lead: Series = S_ONE) -> Series:
+    """lead times m after the tower's base, m supported below omega.
 
-    Returns with_bound(image, floor), forming no product below the floor.
+    Returns with_bound(lead * image, floor), forming no product below the
+    floor; lead is the product's first factor.
     """
     factors, cut, tail = _tower_walk(m, tower)
     last, rel = [], None
@@ -213,17 +217,16 @@ def _compose_monomial_tower(m: Monomial, tower: LogTower,
             last = [(Series(((tail, Fraction(1)),), bound), mono_max(tail, bound))]
             if mono_compare(rel, MONE) != LT:
                 rel = None
-    # (factor, the larger of its dominant and its bound), formed in walk
-    # order so that the first error raised stays the first
-    parts = []
+    # (factor, the larger of its dominant and its bound): lead, then the
+    # factors formed in walk order so that the first error raised stays the
+    # first
+    parts = [(lead, _dominant_monomial_or_bound(lead))]
     for n, r in factors:
         # the tail factor's bound cuts each power at its dominant * rel
         p = tower.log_pow(n, r, rel and mono_mul(
             mono_pow(ser_dominant(tower.log(n))[0], r), rel))
         parts.append((p, p.terms[0][0]))
     parts += last
-    if not parts:
-        return with_bound(S_ONE, floor)
     if rel is not None:
         # ... and the product at its dominant * rel
         floor = _join_bounds(floor, reduce(mono_mul, (u for _, u in parts), rel))
@@ -268,8 +271,11 @@ def _taylor_sum(w: Series, e: Series, image, image_dom,
     is known from dominants: a term m of D^n w with image_dom(m) below
     F / dom(e)^n is dropped before image is called, image is given the floor
     F / dom(e^n) when e^n has a term, e^n is cut at F / image_dom(dom D^n w),
-    and every term of the sum is cut at F.
+    and every term of the sum is cut at F.  An exact-zero e leaves the first
+    term, image(w, None), and forms no derivative.
     """
+    if is_exact_zero(e):
+        return image(w, None)
     budget = prec.budget
     derivs = [w]
     floor = None
@@ -305,8 +311,6 @@ def _taylor_deform_tower(phi: Series, tower: LogTower,
     """Taylor-deform phi around the exact logarithm at the tower's level."""
     level = ord_add(tower.lam, ordinal(3))
     eps = ser_sub(tower.log(3), from_monomial(hyperlog(level)))
-    if is_exact_zero(eps):
-        return compose_hyperlog(phi, level, prec)
     return _taylor_sum(
         phi, eps, lambda t, cut: with_bound(compose_hyperlog(t, level, prec), cut),
         lambda m: _hyperlog_image(m, level), prec)
@@ -354,16 +358,12 @@ def _compose_tower(f: Series, tower: LogTower, prec: Precision,
     run = floor
     parts = [Series((), floor)]
     for low, high_terms in groups.items():
+        # the high part's value leads the group's product; it is formed
+        # before the low part's factors, so the first error stays first
         big = make_series(high_terms)
-        if len(big.terms) == 1 and big.terms[0][0] == MONE:
-            part = ser_scale(_compose_monomial_tower(low, tower, run),
-                             big.terms[0][1])
-        else:
-            bigval = _taylor_deform_tower(up3(big, prec), tower, prec)
-            cut = run and mono_mul(run, mono_pow(
-                _dominant_monomial_or_bound(bigval), -1))
-            part = ser_mul(bigval, _compose_monomial_tower(low, tower, cut),
-                           run)
+        if [h for h, _ in high_terms] != [MONE]:
+            big = _taylor_deform_tower(up3(big, prec), tower, prec)
+        part = _compose_monomial_tower(low, tower, run, big)
         parts.append(part)
         run = _join_bounds(run, part.bound)
     if f.bound is not None:
@@ -376,8 +376,6 @@ def _compose_tower(f: Series, tower: LogTower, prec: Precision,
 def taylor_compose(f: Series, g: Series, h: Series,
                    prec: Precision = DEFAULT_PRECISION) -> Series:
     """Compose f with g + h through the Taylor sum around g; needs h below g."""
-    if is_exact_zero(h):
-        return compose(f, g, prec)
     mg, _ = ser_dominant(g)
     if h.terms:
         if mono_compare(h.terms[0][0], mg) != LT:
@@ -392,17 +390,17 @@ def taylor_compose(f: Series, g: Series, h: Series,
 def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Compositional inverse of g; needs logarithmicity zero."""
     _check_above_rationals(g)
-    lam = logarithmicity(g)
-    if lam.is_infinite or lam.value != ZERO:
-        raise NotInvertible("logarithmicity must be zero, got %s" % (lam.value,))
+    lam = logarithmicity(g).value
+    if lam != ZERO:
+        raise NotInvertible("logarithmicity must be zero, got %s" % (lam,))
     m0, a = ser_dominant(g)
     b = exponent_at(m0, ZERO)
-    s = rational_pow(a, Fraction(-1) / b) if a != 1 else Fraction(1)
+    s = rational_pow(a, Fraction(-1) / b)
     if s is None:
         raise IrrationalConstantPower("leading coefficient %s has no rational root"
                                       % format_frac(a))
     t = Fraction(1) / b
-    g1 = ser_pow(ser_scale(g, Fraction(1) / a), Fraction(1) / b, prec)
+    g1 = ser_pow(ser_scale(g, Fraction(1) / a), t, prec)
 
     # peel the non-x factor of the leading monomial
     m1 = mono_mul(ser_dominant(g1)[0], mono_pow(X, -1))
@@ -413,22 +411,15 @@ def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
         q = None
         G = g1
 
-    # G is x + w with w strictly below x; solve H = x - w(H) by iteration
+    # G is x + w with w strictly below x; H = x - w(H) is x plus the sum of
+    # the increments of the iterates e_k = -w(x + e_(k-1)) from e_0 = 0,
+    # which gain an order each; w at x + e is the Taylor sum around the
+    # identity, whose image has nothing to save by a cut
     w = ser_sub(G, X_SERIES)
-    e = S_ZERO
-    delta = None
-    for _ in range(prec.budget):
-        # w at x + e, by the Taylor sum around the identity
-        # the identity image has nothing to save by a cut
-        e_new = ser_neg(_taylor_sum(w, e, lambda v, cut: v, lambda m: m, prec))
-        delta = ser_sub(e_new, e)
-        e = e_new
-        if is_exact_zero(delta):
-            delta = None
-            break
-    H = ser_add(X_SERIES, e)
-    if delta is not None:
-        H = with_bound(H, _dominant_monomial_or_bound(delta))
+    iterates = _recurrence(S_ZERO, lambda k, e: ser_neg(
+        _taylor_sum(w, e, lambda v, cut: v, lambda m: m, prec)))
+    H = ser_add(X_SERIES, truncated_sum(
+        (ser_sub(e1, e0) for e0, e1 in pairwise(iterates)), prec.budget))
     out = compose(q, H, prec) if q is not None else H
     if s != 1 or t != 1:
         out = compose(out, from_monomial(mono_pow(X, t), s), prec)

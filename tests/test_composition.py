@@ -19,19 +19,22 @@ from hyperlog import (DomainError, HNotSmaller, IrrationalConstantPower,
                       hyperlog, hyperlog_deriv, invert, log_iter,
                       logarithmicity, make_monomial, mono_compare, mono_mul,
                       mono_pow, omega_pow, ord_add, ordinal, parse_ordinal,
-                      recursion_check, ser_add, ser_dominant, ser_log, ser_mul,
-                      ser_mul_inverse, ser_scale, ser_sub, taylor_compose,
-                      taylor_deform)
+                      is_exact_zero, recursion_check, ser_add, ser_dominant,
+                      ser_log, ser_mul, ser_mul_inverse, ser_neg, ser_pow,
+                      ser_scale, ser_sub, taylor_compose, taylor_deform)
+from hyperlog import composition
 from hyperlog.cli import eval_text
 from hyperlog.composition import (LogTower, _compose_monomial_tower,
                                   _compose_tower, _dominant_image,
-                                  _hyperlog_image, up3)
+                                  _hyperlog_image, _taylor_sum, up3)
+from hyperlog.monomial import exponent_at
 from hyperlog.ordinal import GT
 from hyperlog.render import format_value
-from hyperlog.series import (S_ONE, S_ZERO, make_series, truncated_sum,
+from hyperlog.series import (S_ONE, S_ZERO, _dominant_monomial_or_bound,
+                             make_series, rational_pow, truncated_sum,
                              with_bound)
 
-from conftest import rand_composable, rand_series
+from conftest import rand_composable, rand_invertible, rand_series
 
 X_SER = from_monomial(X)
 L1 = from_monomial(hyperlog(ordinal(1)))
@@ -299,9 +302,21 @@ def test_taylor_square_is_exact():
 
 
 def test_taylor_zero_increment_is_composition():
-    f = rand_series(random.Random(5), max_terms=2, max_level=3)
-    assert eq_to_bound(taylor_compose(f, L1, S_ZERO, Precision(5)),
-                       compose(f, L1, Precision(5)))
+    # an exact-zero increment leaves the image of f itself, term for term
+    prec = Precision(5)
+    fs = [rand_series(random.Random(5), max_terms=2, max_level=3)] + [
+        eval_text(text) for text in (
+            "x^2 + l[1]", "x*l[w] + x", "prod(l[0..w])^-1", "x^3 + O(x)",
+            "l[w] + prod(l[0..w])^-1 + 2", "l[w]*l[1] + l[1]")]
+    for g in (L1, "x + 1", "x + l[1]", "x*l[1]", "l[1] + 2", "x + O(1)"):
+        g = eval_text(g) if isinstance(g, str) else g
+        for f in fs:
+            assert taylor_compose(f, g, S_ZERO, prec) == compose(f, g, prec)
+    # around x, the deformation's increment is exactly zero
+    for phi in ("l[w]", "l[w]^2 + l[w+1]^-1", "prod(l[w..w*2])^-1 + O(l[w]^-2)"):
+        phi = eval_text(phi)
+        assert taylor_deform(phi, X_SER, prec) == \
+            compose_hyperlog(phi, ordinal(3), prec)
 
 
 def test_taylor_increment_must_be_smaller():
@@ -405,13 +420,75 @@ def test_invert_requires_logarithmicity_zero():
 
 
 def test_invert_round_trips(rng):
-    from conftest import rand_invertible
     prec = Precision(5)
     for _ in range(10):
         g = rand_invertible(rng)
         h = invert(g, prec)
         assert eq_to_bound(compose(g, h, prec), X_SER), g
         assert eq_to_bound(compose(h, g, prec), X_SER), g
+
+
+def _fixed_point_inverse(g, prec):
+    """invert's peel, then budget steps e <- -w(x + e) of the fixed point,
+    closed at the dominant of the last step's change unless it vanished."""
+    m0, a = ser_dominant(g)
+    b = exponent_at(m0, ZERO)
+    s, t = rational_pow(a, Fraction(-1) / b), Fraction(1) / b
+    g1 = ser_pow(ser_scale(g, Fraction(1) / a), t, prec)
+    m1 = mono_mul(ser_dominant(g1)[0], mono_pow(X, -1))
+    q = from_monomial(mono_mul(X, mono_pow(m1, -1))) if m1 != MONE else None
+    w = ser_sub(compose(g1, q, prec) if q else g1, X_SER)
+    e, delta = S_ZERO, None
+    for _ in range(prec.budget):
+        e_new = ser_neg(_taylor_sum(w, e, lambda v, cut: v, lambda m: m, prec))
+        delta, e = ser_sub(e_new, e), e_new
+        if is_exact_zero(delta):
+            delta = None
+            break
+    H = ser_add(X_SER, e)
+    if delta is not None:
+        H = with_bound(H, _dominant_monomial_or_bound(delta))
+    out = compose(q, H, prec) if q else H
+    if s != 1 or t != 1:
+        out = compose(out, from_monomial(mono_pow(X, t), s), prec)
+    return out
+
+
+# fractional exponents, bounds, peeled monomial factors, scalings and l[w]
+_INVERT_BASES = [
+    "x + 3", "x + x^-1", "x + l[1]^-1 + 1", "x - l[1] + x^-1*l[2]",
+    "x + x^(1/2) + l[1]", "x + x^(1/3)", "x + 2/3*x^(2/3)",
+    "x + l[2]^2 + x^(1/3)", "x + O(x^(1/2))", "x + O(1)", "x + O(l[1])",
+    "x + 1 + O(x^-2)", "x + l[w]", "x + l[w]^-1", "x + x^-1*l[w]",
+    "x*l[1]^-1 + 1", "x*l[1]", "x^2 + x*l[1]", "x^(1/2) + 1",
+    "x^(3/2) + x", "9*x^2 + 3", "1/9*x + 2"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.sampled_from(_INVERT_BASES).map(eval_text),
+                 st.randoms(use_true_random=False).map(rand_invertible)),
+       st.integers(1, 6))
+def test_invert_is_the_fixed_point_loop(g, budget):
+    # the truncated sum of the iterates' increments is the loop's result,
+    # in its terms and its bound
+    prec = Precision(budget)
+    assert invert(g, prec) == _fixed_point_inverse(g, prec)
+
+
+@pytest.mark.parametrize("text, sums", [
+    ("inv@8(x + l[1]^-1 + 1)", 8), ("inv@5(x + x^(1/3))", 5),
+    ("inv@6(x + 3)", 2), ("inv@3(x + O(1))", 1)])
+def test_invert_runs_one_taylor_sum_per_increment(monkeypatch, text, sums):
+    # the iterates are pulled as the sum needs them: none past its last term
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _taylor_sum(*args)
+
+    monkeypatch.setattr(composition, "_taylor_sum", counted)
+    eval_text(text)
+    assert len(calls) == sums
 
 
 # --- the integral recursion -------------------------------------------------------------

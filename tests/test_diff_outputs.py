@@ -1,4 +1,5 @@
-"""The lines mode of scripts/diff_outputs.py: its reader and its outputs."""
+"""The lines mode of scripts/diff_outputs.py: its reader, its outputs and
+the sweep of scripts/sweep_lines.py."""
 import sys
 from pathlib import Path
 
@@ -6,6 +7,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
 import diff_outputs  # noqa: E402  (the scripts directory is not a package)
+import sweep_lines  # noqa: E402
+from hyperlog.cli import parse  # noqa: E402
 
 
 def test_the_line_reader_skips_blank_and_comment_lines(tmp_path):
@@ -26,3 +29,11 @@ def test_each_line_renders_as_the_repl_prints_it(tmp_path):
         [3, "comp@2(l[w], x + 1)", "l[w] + O(1)"],
         [4, "log(x",
          "error: CliSyntaxError: unexpected end of input at col 6"]]
+
+
+def test_every_sweep_line_parses(capsys):
+    sweep_lines.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(set(lines)) > 0
+    for line in lines:
+        parse(line)
