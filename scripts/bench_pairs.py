@@ -17,10 +17,12 @@ For each workload the script prints, per metric, each side's median and
 quartiles, the number of pairs the change won (ties count for neither) and
 a verdict: ``worse than bound`` when the change's median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json, a fraction
-of the parent's median; ``gain`` when the change won at least nine tenths
-of the pairs and the medians differ by more than the parent's quartile
-spread; ``-`` otherwise.  Then it prints every run's ``correct`` flag and
-``failed`` count.
+of the parent's median; ``gain`` when at least ten pairs were run, the
+change won at least nine tenths of them and the medians differ by more than
+the parent's quartile spread; ``-`` otherwise.  Fewer pairs never read
+``gain``: the host drifts by tens of percent between runs, and two copies
+of one tree have read ``gain`` over four pairs.  Then it prints every run's
+``correct`` flag and ``failed`` count.
 """
 from __future__ import annotations
 
@@ -32,6 +34,8 @@ import statistics
 import subprocess
 import sys
 import tempfile
+
+MIN_GAIN_PAIRS = 10
 
 
 def _git(*args, cwd=None):
@@ -103,7 +107,8 @@ def verdict(metric, parent, change):
     gap = _sign(metric) * (_quartiles(change)[1] - p_med)  # > 0: change better
     if "bound" in metric and -gap > metric["bound"] * abs(p_med):
         return "worse than bound"
-    if 10 * wins(metric, parent, change) >= 9 * len(parent) and gap > p3 - p1:
+    if (len(parent) >= MIN_GAIN_PAIRS and gap > p3 - p1
+            and 10 * wins(metric, parent, change) >= 9 * len(parent)):
         return "gain"
     return "-"
 

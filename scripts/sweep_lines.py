@@ -8,7 +8,8 @@ The sweep is one expression per line, for the ``--lines`` mode of
 scripts/diff_outputs.py: ``comp@N(f, g)`` at budgets 1-6 for every f and
 g below, ``taylor@N(f, g, h)`` at budgets 1-4 for every f, a part of the
 g and every h, and ``inv@N(g)`` at budgets 1-8 for every inversion input.
-The inputs reach bounded, non-monic and irrational-root bases, [n, w)
+The inputs reach bounded, non-monic and irrational-root bases, bases of
+logarithmicity w, bases whose logarithms are exactly l[lam + n], [n, w)
 tails, constant and non-constant high parts, exact-zero and bounded
 increments, and inverses with fractional exponents, bounds, peeled
 monomial factors and scalings; some lines end in a typed error on purpose.
@@ -41,8 +42,10 @@ F = [
 ]
 
 # bases above the rationals: bounded (x + O(1)), non-monic (2*x + 1),
-# without rational roots of their leading coefficient (3*x^2), and bases
-# whose logarithms differ from l[lam + n] by 1/x or more (x*l[1], l[1] + 2)
+# without rational roots of their leading coefficient (3*x^2), bases whose
+# logarithms differ from l[lam + n] by 1/x or more (x*l[1], l[1] + 2), a
+# transfinite logarithmicity (l[w] + 1), logarithms that are exactly
+# l[lam + n] (l[1]), and a first logarithm that leads with 1/2 (x^(1/2) + 1)
 G = [
     "x + 1",
     "x + l[1] + 1",
@@ -54,11 +57,15 @@ G = [
     "l[2] + 3",
     "2*x + 1",
     "3*x^2",
+    "l[w] + 1",
+    "l[1]",
+    "x^(1/2) + 1",
 ]
 
 # the bases of the Taylor lines, and their increments: exact zero,
 # constant, infinitesimal, logarithmic and bounded (l[2] is not below l[2] + 3)
-TAYLOR_G = ["x", "x + 1", "x + l[1]", "x*l[1]", "l[1] + 2", "l[2] + 3"]
+TAYLOR_G = ["x", "x + 1", "x + l[1]", "x*l[1]", "l[1] + 2", "l[2] + 3",
+            "l[w] + 1", "l[1]"]
 H = ["0", "1", "1/2 + x^-1", "l[2]", "x^-1 + O(x^-2)"]
 
 # inversion inputs: fractional exponents, bounds, peeled monomial factors,

@@ -16,10 +16,10 @@ from .monomial import (MONE, Monomial, hyperlog, hyperlog_dagger,
                        hyperlog_deriv, mono_compare, mono_mul, mono_pow)
 from .ordinal import GT, ONE, Ordinal, ZERO, omega_pow, ord_add, ord_compare
 from .series import (DEFAULT_PRECISION, POS, Precision, S_ZERO, Series,
-                     ZEROSIGN, _join_bounds, _recurrence, from_monomial,
-                     is_exact_zero, make_series, ser_compare_zero,
-                     ser_dominant, ser_mul, ser_mul_inverse, ser_mul_mono,
-                     ser_sub, support_sum, truncated_sum, with_bound)
+                     ZEROSIGN, _join_bounds, _recurrence, is_exact_zero,
+                     make_series, ser_compare_zero, ser_mul, ser_mul_inverse,
+                     ser_mul_mono, ser_sub, support_sum, truncated_sum,
+                     with_bound)
 
 X_INV = mono_pow(hyperlog(ZERO), -1)
 
@@ -33,14 +33,12 @@ def derive_monomial(m: Monomial, prec: Precision = DEFAULT_PRECISION) -> Series:
 def derive(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Term-by-term derivative; an input bound propagates scaled by 1/x."""
     terms = []
-    bound = None
+    bound = f.bound and mono_mul(f.bound, X_INV)
     for m, c in f.terms:
         d = derive_monomial(m, prec)
         terms.extend((dm, dc * c) for dm, dc in d.terms)
         if d.bound is not None:
             bound = _join_bounds(bound, d.bound)
-    if f.bound is not None:
-        bound = _join_bounds(bound, mono_mul(f.bound, X_INV))
     return make_series(terms, bound)
 
 
@@ -57,10 +55,7 @@ def mod_derive(f: Series, mu: Ordinal, prec: Precision = DEFAULT_PRECISION) -> S
 def _integration_level(f: Series) -> Ordinal:
     """Least omega-power strictly above every support ordinal of f."""
     hi_max = None
-    monos = [m for m, _ in f.terms]
-    if f.bound is not None:
-        monos.append(f.bound)
-    for m in monos:
+    for m in [m for m, _ in f.terms] + [f.bound] * (f.bound is not None):
         for _, hi, _ in m.pieces:
             if hi_max is None or ord_compare(hi, hi_max) == GT:
                 hi_max = hi
@@ -72,27 +67,25 @@ def _integration_level(f: Series) -> Ordinal:
     return omega_pow(ord_add(lead_exp, ONE))
 
 
-@lru_cache(maxsize=None)
-def _t_mono(m: Monomial, alpha: Ordinal, prec: Precision):
-    """Dominant-term lift: c*n with the modified derivative of c*n asymptotic to m."""
+def _t_mono(m: Monomial, alpha: Ordinal):
+    """Dominant-term lift (n, c): the modified derivative of c*n leads with m.
+
+    For m's least level b and its exponent r there, n = m * dagger(l[b])^-1 *
+    l[alpha]' has r at b and nothing below b, as alpha lies above m.  D(n) is
+    n times the sum of r_b * dagger(l[b]) over its support, led by the least
+    level: D(n) leads with r * m * l[alpha]', so c = 1/r.
+    """
     if m == MONE:
-        return Fraction(1), hyperlog(alpha)
-    beta_min = m.pieces[0][0]
-    n = mono_mul(m, mono_mul(mono_pow(hyperlog_dagger(beta_min), -1),
-                             hyperlog_deriv(alpha)))
-    md, cd = ser_dominant(mod_derive(from_monomial(n), alpha, prec))
-    if md != m:
-        raise AssertionError("lift mismatch: %r -> %r" % (m, md))
-    return Fraction(1) / cd, n
+        return hyperlog(alpha), Fraction(1)
+    b, _, r = m.pieces[0]
+    return mono_mul(m, mono_mul(mono_pow(hyperlog_dagger(b), -1),
+                                hyperlog_deriv(alpha))), Fraction(1, r)
 
 
-def _t_series(g: Series, alpha: Ordinal, prec: Precision) -> Series:
-    terms = []
-    for m, c in g.terms:
-        cm, nm = _t_mono(m, alpha, prec)
-        terms.append((nm, c * cm))
-    bound = _t_mono(g.bound, alpha, prec)[1] if g.bound is not None else None
-    return make_series(terms, bound)
+def _t_series(g: Series, alpha: Ordinal) -> Series:
+    lifts = [(_t_mono(m, alpha), c) for m, c in g.terms]
+    return make_series([(n, c * cn) for (n, cn), c in lifts],
+                       g.bound and _t_mono(g.bound, alpha)[0])
 
 
 def integrate(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
@@ -106,14 +99,12 @@ def integrate(f: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
         # The correction operator is contractive, so content hidden below
         # the input bound maps to content hidden below the same bound.
         bare = Series(t.terms)
-        lifted = _t_series(bare, alpha, prec)
-        return with_bound(ser_sub(bare, mod_derive(lifted, alpha, prec)),
-                          t.bound)
+        lifted = _t_series(bare, alpha)
+        return with_bound(ser_sub(bare, mod_derive(lifted, alpha, prec)), t.bound)
 
     # T is strictly monotone on monomials, so lifting the truncated sum puts
     # its bound exactly where lifting each term would
-    return _t_series(truncated_sum(_recurrence(u, correct), prec.budget),
-                     alpha, prec)
+    return _t_series(truncated_sum(_recurrence(u, correct), prec.budget), alpha)
 
 
 @dataclass(frozen=True)

@@ -27,16 +27,18 @@ _taylor_sum hands image the floor F / dom(e^n); each group of
 _compose_tower, the terms that share a low part, is one product led by the
 value of its high part and cut at the running bound, the floor joined with
 the bounds of the groups before it, below which the closing ser_add drops
-everything anyway; and _compose_monomial_tower forms that product, cutting
-partial product k at floor / upper(rest), the product over the factors
-still to come of the larger of dominant and bound.
+everything anyway; and _compose_monomial_tower forms that product uppers
+before products.  A factor's upper is the larger of its dominant and bound,
+and the dominants have a closed form: log_n(g) leads with l[lam + n] for
+n >= 1 (LogTower._dominant), so image_dom forms no logarithm, and every cut,
+floor / upper(rest) for partial product k, is known before a power forms.
 A monomial with an infinite [n, omega) piece ends in a factor whose bound
-lies at its dominant times rel = dom(eps) * x, eps being the tower's last
-logarithm less its exact hyperlogarithm; when rel < 1 the product's floor
-joins its dominant * rel, and each power of a logarithm is cut at its own
-dominant * rel.  The floors are bounds the result carries anyway; a
-dropped term takes away only its image's own bound, which can lie above the
-image's true dominant (the [n, omega) tail bound).
+lies at its dominant times rel = dom(eps) * x, eps being log_cut(g) less
+l[lam + cut]; when rel < 1 the product's floor joins its dominant * rel,
+and each power of a logarithm is cut at its own dominant * rel.  The floors
+are bounds the result carries anyway; a dropped term takes away only its
+image's own bound, which can lie above the image's true dominant (the
+[n, omega) tail bound).
 """
 from __future__ import annotations
 
@@ -51,17 +53,17 @@ from .errors import (HNotSmaller, IrrationalConstantPower, NotGreaterThanR,
                      NotInvertible, SupportBelowOmega, ZeroSeries)
 from .monomial import (MONE, Monomial, X, exponent_at, hyperlog,
                        hyperlog_deriv, make_monomial, mono_compare,
-                       mono_max, mono_min_support, mono_mul, mono_pow,
-                       mono_shift, mono_split)
+                       mono_min_support, mono_mul, mono_pow, mono_shift,
+                       mono_split)
 from .ordinal import (GT, LT, OMEGA, ONE, Ordinal, ZERO, format_frac,
                       lambda_coeff, omega_pow, ord_add, ord_compare, ordinal,
                       ordinal_to_int)
 from .series import (DEFAULT_PRECISION, Precision, S_ONE, S_ZERO, Series,
-                     _dominant_monomial_or_bound, _join_bounds, _recurrence,
-                     from_const, from_monomial, is_exact_zero, make_series,
-                     rational_pow, ser_add, ser_dominant, ser_log, ser_mul,
-                     ser_mul_mono, ser_neg, ser_pow, ser_scale, ser_sub,
-                     truncated_sum, with_bound)
+                     _check_monic, _dominant_monomial_or_bound, _join_bounds,
+                     _recurrence, from_const, from_monomial, is_exact_zero,
+                     make_series, rational_pow, ser_add, ser_dominant,
+                     ser_log, ser_mul, ser_mul_mono, ser_neg, ser_pow,
+                     ser_scale, ser_sub, truncated_sum, with_bound)
 
 X_SERIES = from_monomial(X)
 
@@ -154,6 +156,16 @@ class LogTower:
         self.lam = logarithmicity(g).value  # not None: the dominant exceeds 1
         self._pows = {}
 
+    def _dominant(self, n: int) -> Monomial:
+        """dom(log_n(g)) without forming the level: l[lam + n] for n >= 1.
+
+        log(c*m*(1 + eps)) = log(c) + log(m) + log(1 + eps), and log(m), the
+        sum of r_b * l[b + 1] over m's support, leads with r * l[lam + 1].
+        """
+        if n == 0:
+            return self.levels[0].terms[0][0]
+        return hyperlog(ord_add(self.lam, ordinal(n)))
+
     def log(self, n: int) -> Series:
         while len(self.levels) <= n:
             self.levels.append(ser_log(self.levels[-1], self.prec))
@@ -185,13 +197,11 @@ def _tower_walk(m: Monomial, tower: LogTower):
         if ord_compare(hi, OMEGA) == GT:
             raise ValueError("monomial support reaches beyond the finite levels")
         start = ordinal_to_int(lo)
-        if hi == OMEGA:
-            cut = stop = start + tower.prec.budget
-            tail = make_monomial([(ord_add(tower.lam, ordinal(cut)),
-                                   ord_add(tower.lam, OMEGA), r)])
-        else:
-            stop = ordinal_to_int(hi)
+        stop = start + tower.prec.budget if hi == OMEGA else ordinal_to_int(hi)
         factors.extend((n, r) for n in range(start, stop))
+        if hi == OMEGA:
+            cut, tail = stop, make_monomial([(mono_min_support(tower._dominant(stop)),
+                                              ord_add(tower.lam, OMEGA), r)])
     return factors, cut, tail
 
 
@@ -204,41 +214,35 @@ def _compose_monomial_tower(m: Monomial, tower: LogTower,
     floor; lead is the product's first factor.
     """
     factors, cut, tail = _tower_walk(m, tower)
-    last, rel = [], None
+    # uppers, the larger of each factor's dominant and bound, from closed
+    # forms: lead's, then dom(log_n(g))^r in walk order, then the tail's
+    uppers = [_dominant_monomial_or_bound(lead)]
+    uppers += [mono_pow(tower._dominant(n), r) for n, r in factors]
+    rel = last = None
     if tail is not None:
-        # infinite tail: explicit factors, then the exact remainder monomial
-        eps = ser_sub(tower.log(cut), from_monomial(hyperlog(mono_min_support(tail))))
-        if is_exact_zero(eps):
-            last = [(from_monomial(tail), tail)]
-        else:
-            rel = mono_mul(_dominant_monomial_or_bound(eps), X)
-            bound = mono_mul(tail, rel)
-            # with rel >= 1 the bound lies above the factor's only term
-            last = [(Series(((tail, Fraction(1)),), bound), mono_max(tail, bound))]
-            if mono_compare(rel, MONE) != LT:
-                rel = None
-    # (factor, the larger of its dominant and its bound): lead, then the
-    # factors formed in walk order so that the first error raised stays the
-    # first
-    parts = [(lead, _dominant_monomial_or_bound(lead))]
-    for n, r in factors:
-        # the tail factor's bound cuts each power at its dominant * rel
-        p = tower.log_pow(n, r, rel and mono_mul(
-            mono_pow(ser_dominant(tower.log(n))[0], r), rel))
-        parts.append((p, p.terms[0][0]))
-    parts += last
+        # infinite tail: explicit factors, then the exact remainder monomial,
+        # bounded at tail * rel, rel = dom(eps) * x, unless eps is exactly 0
+        eps = ser_sub(tower.log(cut), from_monomial(tower._dominant(cut)))
+        d = _dominant_monomial_or_bound(eps)
+        rel = d and mono_mul(d, X)
+        last = Series(((tail, Fraction(1)),), rel and mono_mul(tail, rel))
+        uppers.append(_join_bounds(tail, last.bound))
+        if rel is not None and mono_compare(rel, MONE) != LT:
+            rel = None  # the bound lies above the factor's only term
     if rel is not None:
-        # ... and the product at its dominant * rel
-        floor = _join_bounds(floor, reduce(mono_mul, (u for _, u in parts), rel))
+        # the tail factor's bound cuts the product at its dominant * rel
+        floor = _join_bounds(floor, reduce(mono_mul, uppers, rel))
     # what partial product k meets lies at or below upper(rest), the product
     # of the uppers after it: cut it at floor / upper(rest)
-    cuts = [floor] * len(parts)
-    for k in range(len(parts) - 1, 0, -1):
-        cuts[k - 1] = floor and mono_mul(cuts[k], mono_pow(parts[k][1], -1))
-    result = with_bound(parts[0][0], cuts[0])
-    for (p, _), c in zip(parts[1:], cuts[1:]):
-        result = ser_mul(result, p, c)
-    return result
+    cuts = [floor] * len(uppers)
+    for k in range(len(uppers) - 1, 0, -1):
+        cuts[k - 1] = floor and mono_mul(cuts[k], mono_pow(uppers[k], -1))
+    result = with_bound(lead, cuts[0])
+    # the powers are formed after the tail's eps and in walk order, so that
+    # the first error raised stays the first; each is cut at its dominant * rel
+    for (n, r), u, c in zip(factors, uppers[1:], cuts[1:]):
+        result = ser_mul(result, tower.log_pow(n, r, rel and mono_mul(u, rel)), c)
+    return result if last is None else ser_mul(result, last, cuts[-1])
 
 
 def compose_monomial(m: Monomial, g: Series,
@@ -310,7 +314,7 @@ def _taylor_deform_tower(phi: Series, tower: LogTower,
                          prec: Precision) -> Series:
     """Taylor-deform phi around the exact logarithm at the tower's level."""
     level = ord_add(tower.lam, ordinal(3))
-    eps = ser_sub(tower.log(3), from_monomial(hyperlog(level)))
+    eps = ser_sub(tower.log(3), from_monomial(tower._dominant(3)))
     return _taylor_sum(
         phi, eps, lambda t, cut: with_bound(compose_hyperlog(t, level, prec), cut),
         lambda m: _hyperlog_image(m, level), prec)
@@ -325,17 +329,20 @@ def taylor_deform(phi: Series, g: Series,
 def _dominant_image(m: Monomial, tower: LogTower) -> Monomial:
     """Dominant monomial of the composition of m with the tower's base.
 
-    The dominant of a product is the product of the dominants, so this is
-    exact and much cheaper than composing.
+    The dominant of a product is the product of the dominants, each read
+    from its closed form, so this is exact and forms no logarithm.
     """
     low, high = mono_split(m, OMEGA)
     factors, _, tail = _tower_walk(low, tower)
+    # raise as forming the top level would: each level below it must lead
+    # with 1, and g leads with its coefficient c, log(g) with r, then 1
+    g_dom, c = tower.levels[0].terms[0]
+    for lead in (c, g_dom.pieces[0][2])[:factors[-1][0] if factors else 0]:
+        _check_monic(lead)
     # up3 and the deformation each keep their first term's dominant
-    out = mono_mul(_hyperlog_image(high, ord_add(tower.lam, ordinal(3))),
-                   tail or MONE)
-    for n, r in factors:
-        out = mono_mul(out, mono_pow(ser_dominant(tower.log(n))[0], r))
-    return out
+    return reduce(mono_mul, (mono_pow(tower._dominant(n), r) for n, r in factors),
+                  mono_mul(_hyperlog_image(high, ord_add(tower.lam, ordinal(3))),
+                           tail or MONE))
 
 
 def compose(f: Series, g: Series,
@@ -404,12 +411,8 @@ def invert(g: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
 
     # peel the non-x factor of the leading monomial
     m1 = mono_mul(ser_dominant(g1)[0], mono_pow(X, -1))
-    if m1 != MONE:
-        q = from_monomial(mono_mul(X, mono_pow(m1, -1)))
-        G = compose(g1, q, prec)
-    else:
-        q = None
-        G = g1
+    q = from_monomial(mono_mul(X, mono_pow(m1, -1))) if m1 != MONE else None
+    G = compose(g1, q, prec) if q is not None else g1
 
     # G is x + w with w strictly below x; H = x - w(H) is x plus the sum of
     # the increments of the iterates e_k = -w(x + e_(k-1)) from e_0 = 0,

@@ -327,11 +327,15 @@ def _check_positive_leading(a: Series):
     return m, c
 
 
+def _check_monic(c):
+    if c != 1:
+        raise NonMonicLog("leading coefficient %s is not 1" % format_frac(c))
+
+
 def ser_log(a: Series, prec: Precision = DEFAULT_PRECISION) -> Series:
     """Logarithm of a positive series with leading coefficient 1."""
     m, c = _check_positive_leading(a)
-    if c != 1:
-        raise NonMonicLog("leading coefficient %s is not 1" % format_frac(c))
+    _check_monic(c)
     _, _, eps = _split_dominant(a)
     return ser_add(log_monomial(m, prec),
                    _eps_sum(eps, eps, lambda k: Fraction(-k, k + 1),

@@ -53,3 +53,14 @@ def test_worse_than_bound_is_read_in_the_metric_direction():
 def test_a_metric_without_a_bound_has_only_the_gain_verdict():
     assert verdict(COUNT, [100] * 10, [1000] * 10) == "-"
     assert verdict(COUNT, [100] * 10, [90] * 10) == "gain"
+
+
+def test_fewer_than_ten_pairs_never_read_gain():
+    # four pairs, each won by far more than the parent's spread
+    parent = PARENT[:4]
+    change = [p + 100 for p in parent]
+    assert wins(RATE, parent, change) == 4
+    assert verdict(RATE, parent, change) == "-"
+    assert verdict(LATENCY, parent, [p / 10 for p in parent]) == "-"
+    # the bound still reads at any number of pairs
+    assert verdict(RATE, parent, [p * 0.5 for p in parent]) == "worse than bound"

@@ -12,8 +12,10 @@ from hyperlog import (IndeterminateSign, MONE, OMEGA, ONE, Precision, X, ZERO,
                       from_monomial, hfield_facts, hyperlog, hyperlog_dagger,
                       hyperlog_deriv, integrate, make_monomial, make_series,
                       mod_derive, mono_pow, omega_pow, ord_add, ordinal,
-                      ser_add, ser_mul, ser_scale, ser_sub)
-from hyperlog.monomial import exponent_at
+                      parse_ordinal, ser_add, ser_dominant, ser_mul, ser_scale,
+                      ser_sub)
+from hyperlog.calculus import _integration_level, _t_mono
+from hyperlog.monomial import exponent_at, mono_min_support
 from hyperlog.series import S_ONE, S_ZERO, with_bound
 
 from conftest import rand_series
@@ -129,6 +131,39 @@ def test_integration_respects_input_bounds():
     out = integrate(f, Precision(8))
     assert out.terms[0][0] == mono_pow(X, 2)
     assert out.bound is not None
+
+
+# levels of the lifted monomials' pieces, finite and transfinite
+_LIFT_LEVELS = [parse_ordinal(t) for t in (
+    "0", "1", "2", "3", "w", "w+1", "w+2", "w*2", "w*2+1", "w^2", "w^2+1",
+    "w^2+w", "w^w", "w^w+1", "w^w*2")]
+_LIFT_EXPONENTS = [Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3)
+                   for d in (1, 2, 3)] + [0]
+
+
+@st.composite
+def lift_monomials(draw):
+    """A monomial of rational exponents on pieces between levels up to w^w*2."""
+    ends = sorted(draw(st.sets(st.integers(0, len(_LIFT_LEVELS) - 1),
+                               max_size=5)))
+    return make_monomial([(_LIFT_LEVELS[lo], _LIFT_LEVELS[hi],
+                           draw(st.sampled_from(_LIFT_EXPONENTS)))
+                          for lo, hi in zip(ends, ends[1:])])
+
+
+@settings(max_examples=120, deadline=None)
+@given(lift_monomials(), st.integers(1, 6))
+def test_the_lift_in_closed_form_leads_its_modified_derivative_to_m(m, budget):
+    # n = m * dagger(l[b])^-1 * l[alpha]' keeps m's exponent r at its least
+    # level b and has nothing below b, so mod_derive(n) leads with r * m
+    alpha = _integration_level(from_monomial(m))
+    n, c = _t_mono(m, alpha)
+    if m != MONE:
+        b = mono_min_support(m)
+        assert mono_min_support(n) == b
+        assert exponent_at(n, b) == exponent_at(m, b) == 1 / c
+    got = mod_derive(from_monomial(n, c), alpha, Precision(budget))
+    assert ser_dominant(got) == (m, 1)
 
 
 # --- ordered-field facts ------------------------------------------------------------

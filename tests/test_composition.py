@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hyperlog import (DomainError, HNotSmaller, IrrationalConstantPower,
                       Logarithmicity,
-                      MONE, NotGreaterThanR, NotInvertible, OMEGA, ONE,
+                      MONE, NonMonicLog, NotGreaterThanR, NotInvertible,
+                      OMEGA, ONE,
                       Precision, SupportBelowOmega, X, ZERO, compose,
                       compose_hyperlog, compose_hyperlog_omega, derive,
                       eq_exact, eq_to_bound, from_const, from_monomial,
@@ -142,6 +143,62 @@ def test_dominant_image_is_the_dominant_of_the_tower_composition(low, high, g,
     # dominant to compare
     assume(image.terms)
     assert _dominant_image(m, tower) == ser_dominant(image)[0]
+
+
+# bases of finite and infinite logarithmicity, with and without bounds, whose
+# levels all form, or stop forming at level 1 (2*x + 1) or 2 (x^2 + 1)
+_TOWER_BASES = ["x + 1", "x + l[1] + 1", "x*l[1]", "l[1] + 2", "l[1]",
+                "x + O(1)", "x + 1 + O(x^-2)", "l[w] + 1", "l[w] + O(1)",
+                "l[w]*l[w+1] + 2", "prod(l[w..w*2]) + 3", "l[w^2] + x^-1",
+                "2*x + 1", "x^2 + 1", "x^(1/2) + 1", "3*x^2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TOWER_BASES), st.integers(1, 6))
+def test_tower_dominants_are_the_dominants_of_the_formed_levels(g, budget):
+    tower = LogTower(eval_text(g), Precision(budget))
+    for n in range(budget + 1):
+        want = tower._dominant(n)  # read before the level forms
+        try:
+            level = tower.log(n)
+        except NonMonicLog:
+            break
+        assert want == ser_dominant(level)[0], n
+
+
+@settings(max_examples=80, deadline=None)
+@given(tower_monomials(), st.sampled_from(_TOWER_BASES), st.integers(1, 5))
+def test_dominant_image_raises_what_forming_its_levels_raises(low, g, budget):
+    # _dominant_image forms no level, but raises as forming the levels of its
+    # factors would, so a floor's drop test keeps the first error raised
+    prec = Precision(budget)
+    factors = composition._tower_walk(low, LogTower(eval_text(g), prec))[0]
+    top = max((n for n, _ in factors), default=0)
+
+    def outcome(run):
+        try:
+            run()
+        except DomainError as err:
+            return type(err), str(err)
+
+    tower = LogTower(eval_text(g), prec)
+    got = outcome(lambda: _dominant_image(low, tower))
+    assert len(tower.levels) == 1
+    assert got == outcome(lambda: LogTower(eval_text(g), prec).log(top))
+
+
+@pytest.mark.parametrize("text", [
+    # the tail's eps forms log_cut(g) before the first power, whose 2**(1/2)
+    # would raise IrrationalConstantPower
+    "comp@3(x^(1/2)*prod(l[1..w])^-1, 2*x + 1)",
+    "comp@3(l[1]^(1/2)*prod(l[2..w]), x^2 + 1)",
+    # the Taylor floor's dominants raise as forming log_2(g) would, before
+    # the first power, and although the floor drops the term l[2]^(1/2)
+    "taylor@3(l[1]^(1/2)*l[2], x^2 + 1, 1)",
+    "taylor@1(x + l[2]^(1/2), x^2, 1)"])
+def test_a_level_that_does_not_form_raises_first(text):
+    with pytest.raises(NonMonicLog, match="leading coefficient 2 is not 1"):
+        eval_text(text)
 
 
 def _floors(image):
